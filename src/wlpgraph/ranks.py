@@ -1,22 +1,30 @@
 """Exact rank of integer matrices over the rationals.
 
-Three cooperating routes:
+Small matrices go through fraction-free Bareiss elimination over
+arbitrary-precision integers, with partial pivoting on magnitude (smallest
+nonzero pivot, to limit entry growth) -- unconditional.
 
-* fraction-free Bareiss elimination over arbitrary-precision integers, with
-  partial pivoting on magnitude (smallest nonzero pivot, to limit entry
-  growth) -- unconditional, used whenever the matrix is small enough;
-* modular elimination.  A single prime certifies full rank (a nonzero minor
-  mod p is nonzero over Z) and always lower-bounds the rational rank;
-* exact deficiency certificates: candidate null vectors are lifted from a
-  modular solution by Dixon's p-adic iteration, reconstructed as rationals,
-  and then verified against the original matrix in exact integer arithmetic.
-  A verified nonzero null vector unconditionally caps the rank.
+Larger ones are peeled of singleton rows and columns (an exact rank split)
+and the core is factored once, in its tall orientation, by a blocked LU
+modulo a small prime.  That one factorization gives both halves of the
+certificate:
 
-Large eliminations run as blocked LU over float64 with primes below 2^23 so
-panel updates become BLAS matrix products (64 * (p-1)^2 < 2^53 keeps every
-intermediate exactly representable).  The separate :func:`rank_modular` route
-uses random primes above 2^30 in plain int64 arithmetic and exists as an
-independent cross-check of the Bareiss route.
+* the rank mod p, a lower bound for the rational rank (a nonzero minor mod
+  p is nonzero over Z), which settles full rank on its own;
+* for a deficient core, a kernel basis mod p read from the same echelon form
+  by back substitution of U over the free columns.  Each vector is lifted to
+  the integers (symmetric residues, or Wang's rational reconstruction at the
+  single prime) and verified exactly; a verified set of independent null
+  vectors caps the rank.  Dixon's p-adic lifting, on the pivot block of the
+  same factors, runs only for vectors whose lift fails.  If a prime is
+  unlucky the next one is tried.
+
+The LU runs over float64 with primes below 2^23, so panel updates become BLAS
+matrix products (64 * (p-1)^2 < 2^52 keeps every intermediate exactly
+representable), each reduced in place by a multiply-truncate step instead of
+``np.mod``.  The separate :func:`rank_modular` route uses random primes above
+2^30 in plain int64 arithmetic and exists as an independent cross-check of
+the Bareiss route.
 """
 
 from __future__ import annotations
@@ -31,6 +39,8 @@ import numpy as np
 # Blocked-LU panel width; bounds float64 accumulation to 64*(p-1)^2 < 2^53.
 _PANEL = 64
 _SMALL_PRIME_BOUND = 1 << 23
+# Elements per row block of the in-place reductions and trailing updates.
+_REDUCE_BLOCK = 1 << 16
 
 # Route-selection caps (calibrated on this machine; correctness never depends
 # on them, only which exact route runs).
@@ -340,20 +350,57 @@ def _peel(sp: SparseCols):
 # dense modular elimination
 
 
-def _dense_float_mod(sp: SparseCols, p: int) -> np.ndarray:
-    a = np.zeros((sp.nrows, sp.ncols), dtype=np.float64)
-    for j, col in enumerate(sp.cols):
-        for i, v in col:
-            a[i, j] = v % p
+def _dense_mod(sp: SparseCols, p: int | None, dtype=np.float64) -> np.ndarray:
+    """Dense image of sp with entries reduced into [0, p) (exact if p is None)."""
+    a = np.zeros((sp.nrows, sp.ncols), dtype=dtype)
+    rows = [i for col in sp.cols for i, _ in col]
+    cols = [j for j, col in enumerate(sp.cols) for _ in col]
+    vals = [v for col in sp.cols for _, v in col]
+    a[rows, cols] = vals if p is None else [v % p for v in vals]
     return a
 
 
-def _dense_int64_mod(sp: SparseCols, p: int) -> np.ndarray:
-    a = np.zeros((sp.nrows, sp.ncols), dtype=np.int64)
-    for j, col in enumerate(sp.cols):
-        for i, v in col:
-            a[i, j] = v % p
-    return a
+def _mod_inplace(x: np.ndarray, fp: float, q: np.ndarray | None = None) -> np.ndarray:
+    """Reduce integral float64 ``x`` into [0, fp) in place (fp < 2^23, |x| < 2^53).
+
+    Computes x - q * p with q = trunc(x * (1/p)).  The rounded quotient is off
+    by at most one and only where x is within 1 of a multiple of p; rounding
+    toward zero keeps |q * p| <= |x| + 1 <= 2^53, so every step is exact and
+    the remainder lies in [-p, p], which one +-p fix-up brings into [0, p).
+    ``q`` is scratch of x's shape; without it the work runs a block of rows at
+    a time, so no temporary larger than ``_REDUCE_BLOCK`` elements is
+    allocated.
+    """
+    if q is None:
+        if x.size == 0:
+            return x
+        step = max(1, _REDUCE_BLOCK * x.shape[0] // x.size)
+        buf = np.empty((min(step, x.shape[0]),) + x.shape[1:])
+        for i0 in range(0, x.shape[0], step):
+            blk = x[i0:i0 + step]
+            _mod_inplace(blk, fp, buf[:blk.shape[0]])
+        return x
+    np.multiply(x, 1.0 / fp, out=q)
+    np.trunc(q, out=q)
+    q *= fp
+    x -= q
+    np.add(x, fp, out=x, where=x < 0)
+    np.subtract(x, fp, out=x, where=x >= fp)
+    return x
+
+
+def _sub_product_mod(c: np.ndarray, left: np.ndarray, right: np.ndarray, fp: float):
+    """c <- (c - left @ right) mod p in place, a block of rows at a time, so
+    the product never needs a temporary as large as c.  Exact while every
+    product sum stays below 2^52 (inner dimension <= _PANEL)."""
+    step = max(1, _REDUCE_BLOCK // max(c.shape[1], 1))
+    buf = np.empty((min(step, c.shape[0]), c.shape[1]))
+    for i0 in range(0, c.shape[0], step):
+        blk = c[i0:i0 + step]
+        prod = buf[:blk.shape[0]]
+        np.matmul(left[i0:i0 + step], right, out=prod)
+        blk -= prod
+        _mod_inplace(blk, fp, prod)
 
 
 def _rank_mod_p_int64(a: np.ndarray, p: int) -> int:
@@ -384,9 +431,14 @@ def _rank_mod_p_int64(a: np.ndarray, p: int) -> int:
 class _BlockedLU:
     """In-place blocked LU mod p (p < 2^23) over float64 with BLAS updates.
 
-    Handles rectangular, rank-deficient input; records pivot columns and the
-    row permutation.  When the matrix is square and every column pivots, the
-    retained factors support exact mod-p solves (used by Dixon lifting).
+    Handles rectangular, rank-deficient input.  On return P A Q = L U mod p:
+    row k of the factors is row ``perm[k]`` of A, column c is column
+    ``col_perm[c]``, L is unit lower triangular and U (``rank`` rows) is in
+    row echelon form.  Both share ``a``.  Each panel's pivots fill one square
+    block, recorded in ``panels`` as (r0, r1, k0): pivots r0..r1-1 sit in
+    columns k0..k0+r1-r0-1, and the panel's non-pivot columns follow them.
+    The pivot rows and columns give a nonsingular r x r system that
+    :meth:`solve` solves; :meth:`kernel_basis` reads the kernel.
     """
 
     def __init__(self, a: np.ndarray, p: int):
@@ -396,8 +448,10 @@ class _BlockedLU:
         self.a = a
         self.nrows, self.ncols = a.shape
         self.perm = np.arange(self.nrows)
-        self.piv_cols: list[int] = []
+        self.col_perm = np.arange(self.ncols)
+        self.piv_cols: list[int] = []   # original column of each pivot
         self.piv_inv: list[int] = []
+        self.panels: list[tuple[int, int, int]] = []
         self._factor()
 
     def _factor(self):
@@ -419,26 +473,27 @@ class _BlockedLU:
             linv = np.identity(w, dtype=np.float64)  # inverse of the unit-lower multiplier triangle
             t = 0
             for jl in range(w):
-                src = jl
-                col = panel[:, src]
+                col = panel[:, jl]
                 if t:
                     u = linv[:t, :t] @ col[:t] % fp
                     col[:t] = u
-                    col[t:] = (col[t:] - panel[t:, :t] @ u) % fp
-                nz = np.nonzero(col[t:])[0]
+                    col[t:] -= panel[t:, :t] @ u
+                    _mod_inplace(col[t:], fp)
+                nz = np.flatnonzero(col[t:])
                 if nz.size == 0:
                     continue
                 il = t + int(nz[0])
                 if il != t:
                     panel[[t, il]] = panel[[il, t]]
                     row_swaps.append((t, il))
-                if src != t:
-                    panel[:, [t, src]] = panel[:, [src, t]]
-                    orig[t], orig[src] = orig[src], orig[t]
-                piv = int(panel[t, t])
-                inv = pow(piv, -1, p)
+                if jl != t:
+                    panel[:, [t, jl]] = panel[:, [jl, t]]
+                    orig[t], orig[jl] = orig[jl], orig[t]
+                inv = pow(int(panel[t, t]), -1, p)
                 self.piv_inv.append(inv)
-                panel[t + 1:, t] = panel[t + 1:, t] * float(inv) % fp
+                mult = panel[t + 1:, t]
+                mult *= float(inv)
+                _mod_inplace(mult, fp)
                 self.piv_cols.append(orig[t])
                 if t:
                     linv[t, :t] = -(panel[t, :t] @ linv[:t, :t]) % fp
@@ -451,60 +506,81 @@ class _BlockedLU:
                 if k1 < ncols:
                     a[gi, k1:], a[gj, k1:] = a[gj, k1:].copy(), a[gi, k1:].copy()
                 self.perm[[gi, gj]] = self.perm[[gj, gi]]
+            # and its column swaps on the U rows above it
+            if r0 and orig != list(range(k0, k1)):
+                a[:r0, k0:k1] = a[:r0, orig]
+            self.col_perm[k0:k1] = orig
             a[r0:, k0:k1] = panel
             r = r0 + np_
-            if np_ and k1 < ncols:
-                a[r0:r, k1:] = linv[:np_, :np_] @ a[r0:r, k1:] % fp
-                if r < nrows:
-                    llow = np.ascontiguousarray(panel[np_:, :np_])
-                    update = llow @ a[r0:r, k1:]
-                    np.subtract(a[r:, k1:], update, out=update)
-                    np.mod(update, fp, out=update)
-                    a[r:, k1:] = update
+            if np_:
+                self.panels.append((r0, r, k0))
+                if k1 < ncols:
+                    ublk = a[r0:r, k1:]
+                    ublk[...] = linv[:np_, :np_] @ ublk
+                    _mod_inplace(ublk, fp)
+                    if r < nrows:
+                        _sub_product_mod(a[r:, k1:], panel[np_:, :np_], ublk, fp)
             k0 = k1
         self.rank = r
 
-    # -- exact mod-p solves on retained square factors ----------------------
+    @property
+    def piv_pos(self) -> list[int]:
+        """Factor column of each pivot."""
+        return [k0 + k for r0, r1, k0 in self.panels for k in range(r1 - r0)]
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """Solve A x = b mod p; valid when the factored matrix was square with
-        full rank (piv_cols == 0..n-1)."""
-        p = self.p
-        fp = float(p)
-        n = self.rank
-        y = b[self.perm].astype(np.float64) % fp
-        a = self.a
-        # forward: unit lower triangle stored below pivots
-        for k0 in range(0, n, _PANEL):
-            k1 = min(k0 + _PANEL, n)
-            if k0:
-                y[k0:k1] = (y[k0:k1] - _chunk_dot(a[k0:k1, :k0], y[:k0], fp)) % fp
-            for i in range(k0, k1):
-                if i > k0:
-                    y[i] = (y[i] - a[i, k0:i] @ y[k0:i]) % fp
-        # backward: upper triangle with recorded pivot inverses
-        x = y
-        for k1 in range(n, 0, -_PANEL):
-            k0 = max(k1 - _PANEL, 0)
-            if k1 < n:
-                x[k0:k1] = (x[k0:k1] - _chunk_dot(a[k0:k1, k1:n], x[k1:n], fp)) % fp
-            for i in range(k1 - 1, k0 - 1, -1):
-                if i + 1 < k1:
-                    x[i] = (x[i] - a[i, i + 1:k1] @ x[i + 1:k1]) % fp
+    # -- exact mod-p solves on the pivot rows and columns ----------------------
+
+    def _block_dot(self, y: np.ndarray, r0: int, r1: int, panels):
+        """y[r0:r1] <- y[r0:r1] - sum of a[r0:r1, panel pivots] @ y[panel rows], mod p."""
+        blk = y[r0:r1]
+        for s0, s1, j0 in panels:
+            blk -= self.a[r0:r1, j0:j0 + s1 - s0] @ y[s0:s1]
+            _mod_inplace(blk, float(self.p))
+
+    def solve(self, y: np.ndarray) -> np.ndarray:
+        """Solve (P A Q)[:r, piv_pos] x = y mod p in place: the pivot rows and
+        columns, so y is indexed like ``perm[:r]`` and x like ``piv_cols``.
+        y holds residues in [0, p) and may carry several right-hand sides as
+        columns.  For a square matrix of full rank this solves A x = b with
+        y = b[perm]."""
+        a, fp = self.a, float(self.p)
+        for k, (r0, r1, k0) in enumerate(self.panels):  # forward, unit L
+            self._block_dot(y, r0, r1, self.panels[:k])
+            for i in range(r0 + 1, r1):
+                y[i] = (y[i] - a[i, k0:k0 + i - r0] @ y[r0:i]) % fp
+        return self._solve_upper(y)
+
+    def _solve_upper(self, x: np.ndarray) -> np.ndarray:
+        a, fp = self.a, float(self.p)
+        for k in range(len(self.panels) - 1, -1, -1):
+            r0, r1, k0 = self.panels[k]
+            self._block_dot(x, r0, r1, self.panels[k + 1:])
+            for i in range(r1 - 1, r0 - 1, -1):
+                c = k0 + i - r0
+                if i + 1 < r1:
+                    x[i] = (x[i] - a[i, c + 1:k0 + r1 - r0] @ x[i + 1:r1]) % fp
                 x[i] = x[i] * self.piv_inv[i] % fp
         return x
 
+    def kernel_basis(self, count: int) -> tuple[list[int], np.ndarray]:
+        """Kernel vectors mod p for the first ``count`` non-pivot columns.
 
-def _chunk_dot(mat: np.ndarray, vec: np.ndarray, fp: float) -> np.ndarray:
-    """mat @ vec with a reduction every _PANEL columns (exact in float64);
-    vec may carry several right-hand sides as extra columns."""
-    n = mat.shape[1]
-    shape = (mat.shape[0],) if vec.ndim == 1 else (mat.shape[0], vec.shape[1])
-    out = np.zeros(shape, dtype=np.float64)
-    for c0 in range(0, n, _PANEL):
-        c1 = min(c0 + _PANEL, n)
-        out = (out + mat[:, c0:c1] @ vec[c0:c1]) % fp
-    return out
+        Returns the columns (of A) and a matrix whose k-th column is the
+        solution of U y = 0 with 1 at the k-th of them and 0 at the other
+        non-pivot columns, by back substitution of U; rows follow A's columns.
+        """
+        r, fp = self.rank, float(self.p)
+        pos = self.piv_pos
+        is_piv = np.zeros(self.ncols, dtype=bool)
+        is_piv[pos] = True
+        free = np.flatnonzero(~is_piv)[:count]
+        x = self._solve_upper((fp - self.a[:r, free]) % fp)
+        y = np.zeros((self.ncols, free.size))
+        y[pos] = x
+        y[free, np.arange(free.size)] = 1.0
+        out = np.empty_like(y)
+        out[self.col_perm] = y
+        return self.col_perm[free].tolist(), out
 
 
 def _rank_mod_p(sp: SparseCols, p: int) -> int:
@@ -514,8 +590,8 @@ def _rank_mod_p(sp: SparseCols, p: int) -> int:
     if sp.nrows * sp.ncols > DENSE_ELEMS_CAP:
         return _rank_mod_p_big_sparse(sp, p)
     if p < _SMALL_PRIME_BOUND:
-        return _BlockedLU(_dense_float_mod(sp, p), p).rank
-    return _rank_mod_p_int64(_dense_int64_mod(sp, p), p)
+        return _BlockedLU(_dense_mod(sp, p), p).rank
+    return _rank_mod_p_int64(_dense_mod(sp, p, np.int64), p)
 
 
 def _rank_mod_p_big_sparse(sp: SparseCols, p: int) -> int:
@@ -624,8 +700,9 @@ def _dixon_solve_batch(a_int: np.ndarray, lu: _BlockedLU, b_cols, p: int):
     """Solve a_int @ x = b over Q for several right-hand sides at once by
     p-adic lifting; returns a list of (nums, den) or None per column.
 
-    ``a_int`` must be the exact integer matrix whose mod-p LU is ``lu`` and it
-    must fit int64 comfortably (|a| * n * p < 2^63), which holds for every
+    ``a_int`` must be the exact pivot submatrix of ``lu`` (rows ``perm[:r]``,
+    columns ``piv_cols``), which :meth:`_BlockedLU.solve` inverts mod p, and
+    it must fit int64 comfortably (|a| * n * p < 2^63), which holds for every
     matrix this library generates.  All columns are lifted together (the
     triangular solves then run as matrix passes); reconstruction attempts
     follow a doubling schedule because each Wang pass is itself Euclid-heavy.
@@ -705,48 +782,76 @@ def _int64_safe(sp: SparseCols, p: int) -> bool:
     return sp.max_abs() * max(sp.nrows, sp.ncols, 1) * p < (1 << 62)
 
 
-def exact_right_null_vectors(matrix, count: int, seed: int = 0) -> list[list[int]]:
+def exact_right_null_vectors(matrix, count: int, seed: int = 0,
+                             lu: _BlockedLU | None = None) -> list[list[int]]:
     """Up to ``count`` independent integer vectors v with M v = 0, each verified
-    in exact arithmetic.  Independence comes from the reduced echelon shape:
-    vector k carries the k-th free column's unit coordinate."""
+    in exact arithmetic.
+
+    All of them come from one LU of M modulo a small prime: ``lu`` when the
+    caller has factored M already, else a fresh one at a prime drawn from
+    ``seed``.  Back substitution of U gives a kernel basis mod p in which
+    vector k carries the k-th non-pivot column's unit coordinate, so the
+    vectors are independent.  Each is lifted to the integers (symmetric
+    residues, else a single-prime Wang reconstruction) and verified exactly;
+    Dixon's p-adic lifting runs only for those that fail.
+    """
     sp = _coerce(matrix)
     if sp.ncols == 0:
         return []
-    rng = random.Random(seed)
-    for attempt in range(3):
-        p = SMALL_PRIMES[rng.randrange(len(SMALL_PRIMES))]
-        if not _int64_safe(sp, p):
+    if lu is None:
+        p = SMALL_PRIMES[random.Random(seed).randrange(len(SMALL_PRIMES))]
+        lu = _BlockedLU(_dense_mod(sp, p), p)
+    free, basis = lu.kernel_basis(count)
+    vectors: list[list[int]] = []
+    failed: list[int] = []
+    for k, f in enumerate(free):
+        v = _lift_null_vector(sp, basis[:, k].astype(np.int64).tolist(), lu.p)
+        if v is None:
+            failed.append(f)
+        else:
+            vectors.append(v)
+    if failed:
+        if not _int64_safe(sp, lu.p):
             return _null_vectors_object_fallback(sp, count)
-        out = _null_vectors_mod(sp, count, p)
-        if out is not None:
-            return out
-    return []
+        vectors += _dixon_null_vectors(sp, lu, failed)
+    return vectors
 
 
-def _null_vectors_mod(sp: SparseCols, count: int, p: int):
-    lu = _BlockedLU(_dense_float_mod(sp, p), p)
+def _lift_null_vector(sp: SparseCols, residues: list[int], p: int) -> list[int] | None:
+    """The integer kernel vector of sp that reduces to ``residues`` mod p, if
+    its entries are small enough to be read off a single prime."""
+    half = p // 2
+    v = [x - p if x > half else x for x in residues]
+    if not any(sp.matvec(v)):
+        return v
+    recon = _try_reconstruct_vector(residues, p)
+    if recon is None or recon[1] == 1:  # den 1: the symmetric lift again
+        return None
+    v = _primitive(recon[0])
+    return v if not any(sp.matvec(v)) else None
+
+
+def _primitive(v: list[int]) -> list[int]:
+    g = 0
+    for x in v:
+        g = gcd(g, x)
+    return [x // g for x in v] if g > 1 else v
+
+
+def _dixon_null_vectors(sp: SparseCols, lu: _BlockedLU, free_cols: list[int]) -> list[list[int]]:
+    """Exact kernel vectors for the given non-pivot columns by Dixon lifting on
+    the pivot rows and columns of ``lu``, whose factors serve the solves."""
     r = lu.rank
+    piv_rows = lu.perm[:r].tolist()
     piv_cols = lu.piv_cols
-    free_cols = [j for j in range(sp.ncols) if j not in set(piv_cols)]
-    if not free_cols:
-        return []
-    piv_rows = [int(lu.perm[i]) for i in range(r)]
-    sub = sp.submatrix(piv_rows, piv_cols)
-    a_int = np.zeros((r, r), dtype=np.int64)
-    for j, col in enumerate(sub.cols):
-        for i, v in col:
-            a_int[i, j] = v
-    sub_lu = _BlockedLU(a_int.astype(np.float64) % p, p)
-    if sub_lu.rank < r:
-        return None  # unlucky prime
-    wanted = free_cols[:count]
+    a_int = _dense_mod(sp.submatrix(piv_rows, piv_cols), None, np.int64)
     b_cols = []
-    for f in wanted:
+    for f in free_cols:
         col_f = sp.column(f)
         b_cols.append([-col_f[i] for i in piv_rows])
-    solutions = _dixon_solve_batch(a_int, sub_lu, b_cols, p)
+    solutions = _dixon_solve_batch(a_int, lu, b_cols, lu.p)
     vectors: list[list[int]] = []
-    for f, sol in zip(wanted, solutions):
+    for f, sol in zip(free_cols, solutions):
         if sol is None:
             continue
         nums, den = sol
@@ -754,12 +859,8 @@ def _null_vectors_mod(sp: SparseCols, count: int, p: int):
         for j, nv in zip(piv_cols, nums):
             v[j] = nv
         v[f] = den
-        g = 0
-        for x in v:
-            g = gcd(g, x)
-        if g > 1:
-            v = [x // g for x in v]
-        if any(v) and not any(sp.matvec(v)):
+        v = _primitive(v)
+        if not any(sp.matvec(v)):
             vectors.append(v)
     return vectors
 
@@ -851,12 +952,14 @@ def exact_rank(matrix) -> int:
 def exact_rank_info(matrix, seed: int = 0) -> RankInfo:
     """Rank over Q with the route picked by size.
 
-    Small matrices go through Bareiss (unconditional).  Larger ones are peeled,
-    then eliminated modulo small primes: full modular rank certifies itself,
-    and deficient ranks are certified by exact integer null vectors (one per
-    unit of nullity on the short side) lifted via Dixon iteration.  If a
-    certificate cannot be completed the best modular consensus is returned
-    with ``certified=False``; no matrix produced by this library does that.
+    Small matrices go through Bareiss (unconditional).  Larger ones are
+    peeled, and the core is factored once modulo a small prime: full modular
+    rank certifies itself, and a deficient rank is certified by exact integer
+    null vectors of the core (one per unit of its nullity) read from the same
+    factorization, with Dixon lifting as the fallback.  If a certificate
+    cannot be completed at up to five primes, the best modular rank is
+    returned with ``certified=False``; no matrix produced by this library
+    does that.
     """
     sp = _coerce(matrix)
     info = _exact_rank_info_inner(sp, seed)
@@ -873,6 +976,14 @@ def exact_rank_info(matrix, seed: int = 0) -> RankInfo:
     return info
 
 
+def _engine_primes(shape: tuple[int, int], seed: int, max_entry: int) -> list[int]:
+    """The small primes the engine tries, in order, for a matrix of this shape."""
+    rng = random.Random(seed ^ (shape[0] * 1_000_003 + shape[1]))
+    primes = list(SMALL_PRIMES)
+    rng.shuffle(primes)
+    return [p for p in primes if p > max_entry] or primes
+
+
 def _exact_rank_info_inner(sp: SparseCols, seed: int) -> RankInfo:
     shape = (sp.nrows, sp.ncols)
     nnz = sp.nnz
@@ -884,29 +995,27 @@ def _exact_rank_info_inner(sp: SparseCols, seed: int) -> RankInfo:
     mind = min(core.nrows, core.ncols)
     if mind <= BAREISS_CAP and core.nrows * core.ncols * mind <= BAREISS_OPS_CAP:
         return RankInfo(base + rank_bareiss(core), True, "peel+bareiss", shape, nnz)
-    rng = random.Random(seed ^ (shape[0] * 1_000_003 + shape[1]))
-    primes = list(SMALL_PRIMES)
-    rng.shuffle(primes)
-    max_entry = core.max_abs()
-    usable = [p for p in primes if p > max_entry] or primes
-    r = _rank_mod_p(core, usable[0])
-    if r == mind:
-        return RankInfo(base + r, True, "peel+modular-full", shape, nnz)
-    # deficient: certify with exact null vectors on the short side (the
-    # certificate also confirms the modular value, so no second prime is
-    # needed when it succeeds)
-    total = base + r
-    deficiency = min(shape) - total
-    if 0 < deficiency <= DEFICIENCY_CAP:
-        if sp.ncols <= sp.nrows:
-            vecs = exact_right_null_vectors(sp, deficiency, seed)
+    # rank(sp) = base + rank(core) exactly, so certifying the core suffices;
+    # in its tall orientation the kernel to certify is a right kernel
+    tall = core if core.nrows >= core.ncols else core.transpose()
+    r = 0
+    for p in _engine_primes(shape, seed, core.max_abs())[:5]:
+        lu = None
+        if tall.nrows * tall.ncols <= DENSE_ELEMS_CAP:
+            lu = _BlockedLU(_dense_mod(tall, p), p)
+            rp = lu.rank
         else:
-            vecs = exact_left_null_vectors(sp, deficiency, seed)
-        if len(vecs) == deficiency:
-            return RankInfo(total, True, "peel+modular+nullcert", shape, nnz)
-    # consensus fallback; further primes can still reveal full rank
-    for p in usable[1:5]:
-        r = max(r, _rank_mod_p(core, p))
-        if r == mind:
-            return RankInfo(base + r, True, "peel+modular-full", shape, nnz)
+            rp = _rank_mod_p_big_sparse(tall, p)
+        if rp == mind:
+            return RankInfo(base + rp, True, "peel+modular-full", shape, nnz)
+        if rp <= r:
+            continue
+        # the prime bounds the rank from below; exact kernel vectors of the
+        # same factorization cap it from above
+        r = rp
+        deficiency = mind - r
+        if deficiency <= DEFICIENCY_CAP:
+            vecs = exact_right_null_vectors(tall, deficiency, seed, lu=lu)
+            if len(vecs) == deficiency:
+                return RankInfo(base + r, True, "peel+modular+nullcert", shape, nnz)
     return RankInfo(base + r, False, "modular-consensus", shape, nnz)

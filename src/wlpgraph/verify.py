@@ -47,9 +47,9 @@ class CheckResult:
 
 def _timed(fn):
     def wrapper(*args, **kwargs) -> CheckResult:
-        t0 = time.time()
+        t0 = time.perf_counter()
         result = fn(*args, **kwargs)
-        result.seconds = time.time() - t0
+        result.seconds = time.perf_counter() - t0
         return result
     wrapper.__name__ = fn.__name__
     wrapper.__doc__ = fn.__doc__
@@ -114,7 +114,7 @@ def _grid_column(n: int) -> list[tuple[int, int, bool, bool]]:
 
 def check_lollipop_grid(jobs: int = 1) -> CheckResult:
     """Full classification grid, 1 <= m <= 8, 1 <= n <= 20."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     cells: list[tuple[int, int, bool, bool]] = []
     if jobs > 1:
         import multiprocessing as mp
@@ -132,7 +132,7 @@ def check_lollipop_grid(jobs: int = 1) -> CheckResult:
         not bad,
         f"{agree}/{len(cells)} verdicts agree" if not bad else f"disagreements at {bad}",
     )
-    result.seconds = time.time() - t0
+    result.seconds = time.perf_counter() - t0
     return result
 
 

@@ -2,14 +2,18 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wlpgraph import ranks
 from wlpgraph.ranks import (
     SMALL_PRIMES,
     SparseCols,
     _BlockedLU,
-    _dense_float_mod,
-    _dense_int64_mod,
+    _dense_mod,
+    _engine_primes,
+    _lift_null_vector,
+    _mod_inplace,
     _peel,
     _rank_mod_p_int64,
     _rational_reconstruct,
@@ -37,6 +41,20 @@ def random_matrix(rng, max_dim=40, low_rank=False):
     density = rng.choice((0.2, 0.5, 0.9))
     return [[rng.randint(-9, 9) if rng.random() < density else 0 for _ in range(nc)]
             for _ in range(nr)]
+
+
+def _spy(monkeypatch, name):
+    """Record (args, kwargs, result) of every call to ``ranks.<name>``."""
+    calls = []
+    original = getattr(ranks, name)
+
+    def wrapper(*args, **kwargs):
+        out = original(*args, **kwargs)
+        calls.append((args, kwargs, out))
+        return out
+
+    monkeypatch.setattr(ranks, name, wrapper)
+    return calls
 
 
 class TestSparseCols:
@@ -96,8 +114,8 @@ class TestModular:
             p = SMALL_PRIMES[trial % len(SMALL_PRIMES)]
             sp = SparseCols.from_dense(m)
             assert (
-                _BlockedLU(_dense_float_mod(sp, p), p).rank
-                == _rank_mod_p_int64(_dense_int64_mod(sp, p), p)
+                _BlockedLU(_dense_mod(sp, p), p).rank
+                == _rank_mod_p_int64(_dense_mod(sp, p, np.int64), p)
             )
 
     def test_blocked_lu_solve(self, rng):
@@ -113,7 +131,89 @@ class TestModular:
             b = np.zeros(n)
             for c0 in range(0, n, 64):
                 b = (b + a[:, c0:c0 + 64] @ x[c0:c0 + 64]) % p
-            assert np.array_equal(lu.solve(b.copy()), x)
+            assert np.array_equal(lu.solve(b[lu.perm]), x)
+
+
+_BIG = (1 << 53) - 1
+
+
+@st.composite
+def _prime_and_values(draw):
+    """A prime below 2^23 and integers with |x| < 2^53, biased to the edges:
+    multiples of p plus or minus one, and the extremes."""
+    p = draw(st.sampled_from((2, 3, 5, 65537, *SMALL_PRIMES)))
+    near = st.builds(lambda k, d: k * p + d,
+                     st.integers(-(_BIG // p) + 1, _BIG // p - 1), st.sampled_from((-1, 0, 1)))
+    value = st.one_of(st.integers(-_BIG, _BIG), near, st.sampled_from((0, _BIG, -_BIG)))
+    return p, draw(st.lists(value, min_size=1, max_size=60))
+
+
+class TestModularKernels:
+    @settings(max_examples=300, deadline=None)
+    @given(_prime_and_values(), st.integers(1, 7))
+    @example((SMALL_PRIMES[0], [_BIG, -_BIG, 0, SMALL_PRIMES[0] + 1, -SMALL_PRIMES[0] - 1]), 2)
+    def test_reduction_matches_np_mod(self, case, width):
+        p, values = case
+        values = values + [0] * (-len(values) % width)
+        x = np.array(values, dtype=np.float64).reshape(-1, width)
+        assert np.array_equal(x, np.array(values, dtype=np.int64).reshape(-1, width))
+        want = np.mod(x, float(p))
+        saved = ranks._REDUCE_BLOCK
+        ranks._REDUCE_BLOCK = 2 * width  # several row blocks even for short inputs
+        try:
+            got = _mod_inplace(x, float(p))
+        finally:
+            ranks._REDUCE_BLOCK = saved
+        assert np.array_equal(got, want)
+        assert got.ravel().tolist() == [v % p for v in values]
+
+    def test_factors_after_panel_column_swaps(self, rng):
+        # column 5 depends on columns 1, 2 and column 70 on column 3, so each
+        # panel has a non-pivot column ahead of pivot columns; the second
+        # panel's swaps must also reorder the U rows above it
+        nr, nc = 150, 140
+        m = [[rng.randint(-5, 5) for _ in range(nc)] for _ in range(nr)]
+        for row in m:
+            row[5] = row[1] + row[2]
+            row[70] = 2 * row[3]
+            row[100] = 0
+        p = SMALL_PRIMES[0]
+        sp = SparseCols.from_dense(m)
+        lu = _BlockedLU(_dense_mod(sp, p), p)
+        r = lu.rank
+        assert r == rank_bareiss(m) == nc - 3
+        assert lu.col_perm.tolist() != list(range(nc))
+        assert any(r0 > 0 and lu.col_perm[k0 + r1 - r0 - 1] != k0 + r1 - r0 - 1
+                   for r0, r1, k0 in lu.panels)
+        pos = lu.piv_pos
+        f = lu.a.astype(np.int64)
+        lower = np.zeros((nr, r), dtype=np.int64)
+        upper = np.zeros((r, nc), dtype=np.int64)
+        for k, c in enumerate(pos):
+            lower[k, k] = 1
+            lower[k + 1:, k] = f[k + 1:, c]
+            upper[k, c:] = f[k, c:]
+        a = np.array(m, dtype=np.int64) % p
+        assert np.array_equal(a[lu.perm][:, lu.col_perm], lower @ upper % p)
+        free, basis = lu.kernel_basis(nc)
+        assert sorted(free) == [5, 70, 100]
+        assert not (a @ basis.astype(np.int64) % p).any()
+        assert all(_lift_null_vector(sp, basis[:, k].astype(np.int64).tolist(), p)
+                   for k in range(len(free)))
+
+
+    def test_rational_kernel_read_off_one_prime(self, rng, monkeypatch):
+        # M = [2B | B w]: the kernel vector with 1 in the last column is
+        # (-w/2, 1), so the symmetric lift fails and Wang reconstruction at
+        # the single prime recovers it; Dixon never runs
+        b = [[rng.randint(-3, 3) for _ in range(11)] for _ in range(30)]
+        w = [2 * rng.randint(-3, 3) + 1 for _ in range(11)]
+        m = [[2 * x for x in row] + [sum(x * y for x, y in zip(row, w))] for row in b]
+        assert rank_bareiss(m) == 11
+        dixon = _spy(monkeypatch, "_dixon_null_vectors")
+        (v,) = exact_right_null_vectors(m, 1, seed=4)
+        assert not dixon
+        assert v in ([-x for x in w] + [2], w + [-2])
 
 
 class TestPeel:
@@ -184,14 +284,47 @@ class TestExactRankInfo:
         assert info.certified
         assert info.rank == rank_modular(m, seed=9)
 
-    def test_large_deficient_certified(self):
+    def test_large_deficient_certified(self, monkeypatch):
         rng2 = np.random.default_rng(6)
         a = rng2.integers(-2, 3, size=(320, 230))
         b = rng2.integers(-2, 3, size=(230, 300))
         m = (a @ b).tolist()
+        dixon = _spy(monkeypatch, "_dixon_null_vectors")
         info = exact_rank_info(m)
         assert info.certified
         assert info.rank == 230
+        # this kernel's entries are far too large for a single prime
+        assert sum(len(args[2]) for args, _, _ in dixon) == 70
+
+    def test_unlucky_prime_still_certified(self, monkeypatch):
+        # m = a b + p u w^T has rank k + 1 over Q but only k modulo p, the
+        # prime the engine draws first for this shape; its entries exceed
+        # every small prime, so the draw does not depend on them
+        shape, k = (190, 182), 170
+        p = _engine_primes(shape, 0, 1 << 30)[0]
+        rng2 = np.random.default_rng(7)
+        a = rng2.integers(-2, 3, size=(shape[0], k))
+        b = rng2.integers(-2, 3, size=(k, shape[1]))
+        u = rng2.integers(-2, 3, size=(shape[0], 1))
+        w = rng2.integers(-2, 3, size=(1, shape[1]))
+        sp = SparseCols.from_dense((a @ b + p * (u @ w)).tolist())
+        assert _engine_primes(shape, 0, sp.max_abs())[0] == p
+        assert ranks._peel(sp)[0].ncols == shape[1] > ranks.BAREISS_CAP
+
+        lu = _BlockedLU(_dense_mod(sp, p), p)
+        assert lu.rank == k
+        free, basis = lu.kernel_basis(shape[1])
+        lifted = [_lift_null_vector(sp, basis[:, j].astype(np.int64).tolist(), p)
+                  for j in range(len(free))]
+        assert any(v is None for v in lifted)
+
+        nullcert = _spy(monkeypatch, "exact_right_null_vectors")
+        info = exact_rank_info(sp)
+        assert info.certified and info.method == "peel+modular+nullcert"
+        assert info.rank == rank_bareiss(sp) == k + 1
+        (_, first, vecs_p), (_, second, vecs) = nullcert
+        assert first["lu"].p == p and len(vecs_p) < shape[1] - k
+        assert second["lu"].p != p and len(vecs) == shape[1] - k - 1
 
     def test_agreement_with_engines(self, rng):
         for trial in range(40):
@@ -237,7 +370,7 @@ class TestBigSparseRoute:
                  for _ in range(nr)]
             p = SMALL_PRIMES[trial]
             sp = SparseCols.from_dense(m)
-            want = _BlockedLU(_dense_float_mod(sp, p), p).rank
+            want = _BlockedLU(_dense_mod(sp, p), p).rank
             monkeypatch.setattr(ranks_mod, "DENSE_ELEMS_CAP", 64)
             got = ranks_mod._rank_mod_p_big_sparse(sp, p)
             monkeypatch.undo()
