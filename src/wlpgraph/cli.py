@@ -193,7 +193,7 @@ def cmd_verify_paper(args) -> int:
     progress = None
     if args.output != "json":
         progress = lambda result: print(result.line(), flush=True)
-    manifest = verify.run_all(seed=args.seed, jobs=args.jobs, progress=progress)
+    manifest = verify.run_all(seed=args.seed, progress=progress)
     if args.output == "json":
         print(json.dumps(manifest.to_json_dict()))
     else:
@@ -210,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
                         help="seed for randomized suites")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="parallel workers for grid sweeps")
+                        help="parallel workers for the classify sweep")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_ind = sub.add_parser("indpoly", help="independence polynomial and its mode")

@@ -84,14 +84,11 @@ def _oracle_rank(kind, a: MonomialAlgebra, i: int):
         r = reductions.path_ell_rank(kind[1], i)
     else:
         r = reductions.lollipop_ell_rank(kind[1], kind[2], i)
-    if ranks._registry is not None and min(a.dim(i), a.dim(i + 1)) <= ranks.CROSSCHECK_CAP:
-        gm = multiplication_map(a, LinearForm.all_ones(a.num_vars), i, 1)
-        info = ranks.exact_rank_info(gm.matrix)
-        if info.rank != r:
-            raise ranks.RankComputationError(
-                f"structured rank {r} disagrees with engine rank {info.rank} "
-                f"at degree {i}"
-            )
+    ranks.crosscheck_structured_rank(
+        r, min(a.dim(i), a.dim(i + 1)),
+        lambda: multiplication_map(a, LinearForm.all_ones(a.num_vars), i, 1).matrix,
+        f"at degree {i}",
+    )
     return r
 
 

@@ -11,13 +11,14 @@ certificate:
 
 * the rank mod p, a lower bound for the rational rank (a nonzero minor mod
   p is nonzero over Z), which settles full rank on its own;
-* for a deficient core, a kernel basis mod p read from the same echelon form
-  by back substitution of U over the free columns.  Each vector is lifted to
-  the integers (symmetric residues, or Wang's rational reconstruction at the
-  single prime) and verified exactly; a verified set of independent null
-  vectors caps the rank.  Dixon's p-adic lifting, on the pivot block of the
-  same factors, runs only for vectors whose lift fails.  If a prime is
-  unlucky the next one is tried.
+* for a deficient core of any nullity, a kernel basis mod p read from the
+  same echelon form by back substitution of U over the free columns.  There
+  is one certificate path: each vector is lifted from the single prime by
+  rational reconstruction; Dixon's p-adic lifting, on the pivot block of
+  the same factors, runs only for the vectors whose lift fails, in int64
+  where that cannot overflow and in Python integers otherwise; every vector
+  is then verified in exact arithmetic.  A verified set of independent null
+  vectors caps the rank.  If a prime is unlucky the next one is tried.
 
 The LU runs over float64 with primes below 2^23, so panel updates become BLAS
 matrix products (64 * (p-1)^2 < 2^52 keeps every intermediate exactly
@@ -47,7 +48,6 @@ _REDUCE_BLOCK = 1 << 16
 BAREISS_CAP = 180          # min dimension up to which Bareiss is the default
 BAREISS_OPS_CAP = 2_500_000  # rows*cols*min budget for the Bareiss default
 DENSE_ELEMS_CAP = 70_000_000  # dense float64 core budget (~560 MB)
-DEFICIENCY_CAP = 160       # max nullity we try to certify exactly
 DIXON_MAX_STEPS = 700
 
 CROSSCHECK_CAP = 110       # registry mode: run Bareiss + >2^30 modular up to this min-dim
@@ -143,19 +143,6 @@ class SparseCols:
                 for i, v in col:
                     out[i] += v * x
         return out
-
-    def column(self, j: int) -> list[int]:
-        out = [0] * self.nrows
-        for i, v in self.cols[j]:
-            out[i] = v
-        return out
-
-    def submatrix(self, row_idx, col_idx) -> "SparseCols":
-        rmap = {r: k for k, r in enumerate(row_idx)}
-        cols = []
-        for j in col_idx:
-            cols.append(sorted((rmap[i], v) for i, v in self.cols[j] if i in rmap))
-        return SparseCols(len(row_idx), len(col_idx), cols)
 
     def to_json_dict(self, rank: int | None = None) -> dict:
         triples = [[i, j, v] for j, col in enumerate(self.cols) for i, v in col]
@@ -449,7 +436,6 @@ class _BlockedLU:
         self.nrows, self.ncols = a.shape
         self.perm = np.arange(self.nrows)
         self.col_perm = np.arange(self.ncols)
-        self.piv_cols: list[int] = []   # original column of each pivot
         self.piv_inv: list[int] = []
         self.panels: list[tuple[int, int, int]] = []
         self._factor()
@@ -494,7 +480,6 @@ class _BlockedLU:
                 mult = panel[t + 1:, t]
                 mult *= float(inv)
                 _mod_inplace(mult, fp)
-                self.piv_cols.append(orig[t])
                 if t:
                     linv[t, :t] = -(panel[t, :t] @ linv[:t, :t]) % fp
                 t += 1
@@ -539,7 +524,8 @@ class _BlockedLU:
 
     def solve(self, y: np.ndarray) -> np.ndarray:
         """Solve (P A Q)[:r, piv_pos] x = y mod p in place: the pivot rows and
-        columns, so y is indexed like ``perm[:r]`` and x like ``piv_cols``.
+        columns, so y is indexed like ``perm[:r]`` and x like
+        ``col_perm[piv_pos]``.
         y holds residues in [0, p) and may carry several right-hand sides as
         columns.  For a square matrix of full rank this solves A x = b with
         y = b[perm]."""
@@ -671,7 +657,7 @@ def rank_modular(matrix, prime_count: int = 3, seed: int = 0) -> int:
 
 
 # ---------------------------------------------------------------------------
-# rational reconstruction + Dixon lifting for exact null vectors
+# exact null vectors: single-prime lift, Dixon lifting for the rest
 
 
 def _rational_reconstruct(a: int, m: int):
@@ -696,51 +682,67 @@ def _rational_reconstruct(a: int, m: int):
     return (n, d)
 
 
-def _dixon_solve_batch(a_int: np.ndarray, lu: _BlockedLU, b_cols, p: int):
-    """Solve a_int @ x = b over Q for several right-hand sides at once by
-    p-adic lifting; returns a list of (nums, den) or None per column.
+def _try_reconstruct_vector(xacc, m: int):
+    """(nums, den) with nums[i] / den congruent to xacc[i] mod m, or None.
+
+    Exact whenever the true vector's numerators and least common denominator
+    are all at most sqrt(m/2) (Wang's bound, so 2 * N * D < m).  A running
+    common denominator is kept, and it always divides the true one, so an
+    entry whose residue times it is already that small costs one multiply;
+    only the others run Euclid.
+    """
+    bound = isqrt(m // 2)
+    top = m - bound
+    nums: list[int] = []
+    den = 1
+    for v in xacc:
+        u = v * den % m
+        if u <= bound:
+            nums.append(u)
+            continue
+        if u >= top:
+            nums.append(u - m)
+            continue
+        recon = _rational_reconstruct(u, m)
+        if recon is None or den * recon[1] > bound:
+            return None
+        n, d = recon
+        nums = [x * d for x in nums]
+        nums.append(n)
+        den *= d
+    return nums, den
+
+
+def _dixon_solve_batch(a_int: np.ndarray, lu: _BlockedLU, b: np.ndarray, p: int):
+    """Solve a_int @ x = b over Q for every column of b at once by p-adic
+    lifting; returns a list of (nums, den) or None per column.
 
     ``a_int`` must be the exact pivot submatrix of ``lu`` (rows ``perm[:r]``,
-    columns ``piv_cols``), which :meth:`_BlockedLU.solve` inverts mod p, and
-    it must fit int64 comfortably (|a| * n * p < 2^63), which holds for every
-    matrix this library generates.  All columns are lifted together (the
-    triangular solves then run as matrix passes); reconstruction attempts
-    follow a doubling schedule because each Wang pass is itself Euclid-heavy.
+    columns ``col_perm[piv_pos]``), which :meth:`_BlockedLU.solve` inverts
+    mod p.  ``a_int`` and ``b`` share one dtype: int64 when
+    :func:`_int64_safe` holds, else object (Python ints), so any entry size
+    lifts exactly.  The triangular solves run as matrix passes over all
+    columns; reconstruction attempts follow a doubling schedule.
     """
-    n = a_int.shape[0]
-    k = len(b_cols)
-    if k == 0:
-        return []
-    residual = np.array(b_cols, dtype=np.int64).T.reshape(n, k)
-    xaccs = [[0] * n for _ in range(k)]
+    k = b.shape[1]
+    residual = b
+    xacc = np.zeros(b.shape, dtype=object)
     done: list = [None] * k
     pk = 1
     next_attempt = 2
     for step in range(1, DIXON_MAX_STEPS + 1):
-        xi = lu.solve((residual % p).astype(np.float64))
-        xi64 = xi.astype(np.int64)
-        residual = (residual - a_int @ xi64) // p
-        for c in range(k):
-            if done[c] is None:
-                acc = xaccs[c]
-                col = xi64[:, c]
-                for i in range(n):
-                    v = int(col[i])
-                    if v:
-                        acc[i] += v * pk
+        xi = lu.solve((residual % p).astype(np.float64)).astype(np.int64)
+        residual = (residual - a_int @ xi) // p
+        xacc += xi.astype(object) * pk
         pk *= p
         if step >= next_attempt or step == DIXON_MAX_STEPS:
             next_attempt = step * 2
-            finished = True
             for c in range(k):
-                if done[c] is not None:
-                    continue
-                recon = _try_reconstruct_vector(xaccs[c], pk)
-                if recon is not None and _spot_check_solution(a_int, recon, b_cols[c]):
-                    done[c] = recon
-                else:
-                    finished = False
-            if finished:
+                if done[c] is None:
+                    recon = _try_reconstruct_vector(xacc[:, c].tolist(), pk)
+                    if recon is not None and _spot_check_solution(a_int, recon, b[:, c]):
+                        done[c] = recon
+            if all(sol is not None for sol in done):
                 break
     return done
 
@@ -757,28 +759,8 @@ def _spot_check_solution(a_int: np.ndarray, recon, b_col) -> bool:
     return True
 
 
-def _try_reconstruct_vector(xacc: list[int], pk: int):
-    if not xacc:
-        return ([], 1)
-    # sentinel first: a failed attempt then costs one Euclid run, not len(xacc)
-    sentinel = max(range(len(xacc)), key=lambda i: abs(xacc[i]))
-    if _rational_reconstruct(xacc[sentinel], pk) is None:
-        return None
-    nums: list[int] = []
-    dens: list[int] = []
-    for v in xacc:
-        r = _rational_reconstruct(v, pk)
-        if r is None:
-            return None
-        nums.append(r[0])
-        dens.append(r[1])
-    den = 1
-    for d in dens:
-        den = den * d // gcd(den, d)
-    return ([n * (den // d) for n, d in zip(nums, dens)], den)
-
-
 def _int64_safe(sp: SparseCols, p: int) -> bool:
+    """Whether Dixon's integer side fits int64 for sp at p."""
     return sp.max_abs() * max(sp.nrows, sp.ncols, 1) * p < (1 << 62)
 
 
@@ -791,9 +773,9 @@ def exact_right_null_vectors(matrix, count: int, seed: int = 0,
     caller has factored M already, else a fresh one at a prime drawn from
     ``seed``.  Back substitution of U gives a kernel basis mod p in which
     vector k carries the k-th non-pivot column's unit coordinate, so the
-    vectors are independent.  Each is lifted to the integers (symmetric
-    residues, else a single-prime Wang reconstruction) and verified exactly;
-    Dixon's p-adic lifting runs only for those that fail.
+    vectors are independent.  Each is lifted from the single prime by
+    rational reconstruction; Dixon's p-adic lifting on the same factors runs
+    only for those whose lift fails verification.
     """
     sp = _coerce(matrix)
     if sp.ncols == 0:
@@ -811,21 +793,16 @@ def exact_right_null_vectors(matrix, count: int, seed: int = 0,
         else:
             vectors.append(v)
     if failed:
-        if not _int64_safe(sp, lu.p):
-            return _null_vectors_object_fallback(sp, count)
         vectors += _dixon_null_vectors(sp, lu, failed)
     return vectors
 
 
 def _lift_null_vector(sp: SparseCols, residues: list[int], p: int) -> list[int] | None:
-    """The integer kernel vector of sp that reduces to ``residues`` mod p, if
-    its entries are small enough to be read off a single prime."""
-    half = p // 2
-    v = [x - p if x > half else x for x in residues]
-    if not any(sp.matvec(v)):
-        return v
+    """The integer kernel vector of sp that reduces to a multiple of
+    ``residues`` mod p, if its entries are small enough to be read off a
+    single prime (for a denominator of 1 this is the symmetric lift)."""
     recon = _try_reconstruct_vector(residues, p)
-    if recon is None or recon[1] == 1:  # den 1: the symmetric lift again
+    if recon is None:
         return None
     v = _primitive(recon[0])
     return v if not any(sp.matvec(v)) else None
@@ -841,75 +818,24 @@ def _primitive(v: list[int]) -> list[int]:
 def _dixon_null_vectors(sp: SparseCols, lu: _BlockedLU, free_cols: list[int]) -> list[list[int]]:
     """Exact kernel vectors for the given non-pivot columns by Dixon lifting on
     the pivot rows and columns of ``lu``, whose factors serve the solves."""
-    r = lu.rank
-    piv_rows = lu.perm[:r].tolist()
-    piv_cols = lu.piv_cols
-    a_int = _dense_mod(sp.submatrix(piv_rows, piv_cols), None, np.int64)
-    b_cols = []
-    for f in free_cols:
-        col_f = sp.column(f)
-        b_cols.append([-col_f[i] for i in piv_rows])
-    solutions = _dixon_solve_batch(a_int, lu, b_cols, lu.p)
+    piv_rows = lu.perm[:lu.rank]
+    piv_cols = lu.col_perm[lu.piv_pos]
+    dense = _dense_mod(sp, None, np.int64 if _int64_safe(sp, lu.p) else object)
+    solutions = _dixon_solve_batch(dense[np.ix_(piv_rows, piv_cols)], lu,
+                                   -dense[np.ix_(piv_rows, free_cols)], lu.p)
     vectors: list[list[int]] = []
     for f, sol in zip(free_cols, solutions):
         if sol is None:
             continue
         nums, den = sol
         v = [0] * sp.ncols
-        for j, nv in zip(piv_cols, nums):
+        for j, nv in zip(piv_cols.tolist(), nums):
             v[j] = nv
         v[f] = den
         v = _primitive(v)
         if not any(sp.matvec(v)):
             vectors.append(v)
     return vectors
-
-
-def _null_vectors_object_fallback(sp: SparseCols, count: int) -> list[list[int]]:
-    """Exact fraction-free nullspace for matrices with huge entries (rare)."""
-    from fractions import Fraction
-
-    dense = [[Fraction(v) for v in row] for row in sp.to_dense()]
-    nrows, ncols = sp.nrows, sp.ncols
-    piv_of_col: dict[int, int] = {}
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        piv = next((i for i in range(r, nrows) if dense[i][c]), None)
-        if piv is None:
-            continue
-        dense[piv], dense[r] = dense[r], dense[piv]
-        inv = 1 / dense[r][c]
-        dense[r] = [x * inv for x in dense[r]]
-        for i in range(nrows):
-            if i != r and dense[i][c]:
-                f = dense[i][c]
-                dense[i] = [a - f * b for a, b in zip(dense[i], dense[r])]
-        piv_of_col[c] = r
-        r += 1
-    out = []
-    for f in range(ncols):
-        if f in piv_of_col:
-            continue
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for c, pr in piv_of_col.items():
-            v[c] = -dense[pr][f]
-        den = 1
-        for x in v:
-            den = den * x.denominator // gcd(den, x.denominator)
-        iv = [int(x * den) for x in v]
-        if any(iv) and not any(sp.matvec(iv)):
-            out.append(iv)
-            if len(out) >= count:
-                break
-    return out
-
-
-def exact_left_null_vectors(matrix, count: int, seed: int = 0) -> list[list[int]]:
-    sp = _coerce(matrix)
-    return exact_right_null_vectors(sp.transpose(), count, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -954,12 +880,11 @@ def exact_rank_info(matrix, seed: int = 0) -> RankInfo:
 
     Small matrices go through Bareiss (unconditional).  Larger ones are
     peeled, and the core is factored once modulo a small prime: full modular
-    rank certifies itself, and a deficient rank is certified by exact integer
-    null vectors of the core (one per unit of its nullity) read from the same
-    factorization, with Dixon lifting as the fallback.  If a certificate
-    cannot be completed at up to five primes, the best modular rank is
-    returned with ``certified=False``; no matrix produced by this library
-    does that.
+    rank certifies itself, and a deficient rank, of any nullity, is certified
+    by exact integer null vectors of the core (one per unit of its nullity)
+    read from the same factorization.  If a certificate cannot be completed
+    at up to five primes, the best modular rank is returned with
+    ``certified=False``; no matrix produced by this library does that.
     """
     sp = _coerce(matrix)
     info = _exact_rank_info_inner(sp, seed)
@@ -974,6 +899,21 @@ def exact_rank_info(matrix, seed: int = 0) -> RankInfo:
                 )
         _registry.append(info)
     return info
+
+
+def crosscheck_structured_rank(rank: int, min_dim: int, build, where: str) -> None:
+    """Under :func:`recording`, compare a rank obtained without the engine
+    (``rank``, of a matrix with smaller dimension ``min_dim``) with the
+    engine's rank of ``build()``, if ``min_dim <= CROSSCHECK_CAP``; a
+    disagreement raises.  Outside a recording scope this does nothing, and
+    ``build`` is not called."""
+    if _registry is None or min_dim > CROSSCHECK_CAP:
+        return
+    info = exact_rank_info(build())
+    if info.rank != rank:
+        raise RankComputationError(
+            f"structured rank {rank} disagrees with engine rank {info.rank} {where}"
+        )
 
 
 def _engine_primes(shape: tuple[int, int], seed: int, max_entry: int) -> list[int]:
@@ -1013,9 +953,7 @@ def _exact_rank_info_inner(sp: SparseCols, seed: int) -> RankInfo:
         # the prime bounds the rank from below; exact kernel vectors of the
         # same factorization cap it from above
         r = rp
-        deficiency = mind - r
-        if deficiency <= DEFICIENCY_CAP:
-            vecs = exact_right_null_vectors(tall, deficiency, seed, lu=lu)
-            if len(vecs) == deficiency:
-                return RankInfo(base + r, True, "peel+modular+nullcert", shape, nnz)
+        vecs = exact_right_null_vectors(tall, mind - r, seed, lu=lu)
+        if len(vecs) == mind - r:
+            return RankInfo(base + r, True, "peel+modular+nullcert", shape, nnz)
     return RankInfo(base + r, False, "modular-consensus", shape, nnz)

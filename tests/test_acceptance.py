@@ -58,7 +58,7 @@ def test_criterion_03_path_wlp_classification():
 
 
 def test_criterion_04_lollipop_grid():
-    _report(verify.check_lollipop_grid(jobs=2), limit=300.0)
+    _report(verify.check_lollipop_grid(), limit=300.0)
 
 
 def test_criterion_05_failure_localization():

@@ -1,4 +1,6 @@
 import random
+from fractions import Fraction
+from math import isqrt, lcm
 
 import numpy as np
 import pytest
@@ -12,12 +14,13 @@ from wlpgraph.ranks import (
     _BlockedLU,
     _dense_mod,
     _engine_primes,
+    _int64_safe,
     _lift_null_vector,
     _mod_inplace,
     _peel,
     _rank_mod_p_int64,
     _rational_reconstruct,
-    exact_left_null_vectors,
+    _try_reconstruct_vector,
     exact_right_null_vectors,
     exact_rank_info,
     rank_bareiss,
@@ -260,12 +263,34 @@ class TestReconstruction:
                 assert any(v)
                 assert not any(sp.matvec(v))
 
-    def test_left_null_vectors(self):
-        m = [[1, 2], [2, 4], [0, 1]]  # row 2 = 2 * row 1
-        vecs = exact_left_null_vectors(m, 1)
-        assert len(vecs) == 1
-        mt = SparseCols.from_dense(m).transpose()
-        assert not any(mt.matvec(vecs[0]))
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_vector_reconstruction(self, data):
+        # numerators and the shared denominator within Wang's bound sqrt(m/2),
+        # so 2 * N * D < m: the rationals come back exactly, over their least
+        # common denominator, with one Euclid run per growth of the running
+        # denominator rather than one per entry
+        m = data.draw(st.sampled_from((10007, SMALL_PRIMES[0], SMALL_PRIMES[3] ** 2, 2 ** 61 - 1)))
+        bound = isqrt(m // 2)
+        den = data.draw(st.integers(1, bound))
+        nums = data.draw(st.lists(st.integers(-bound, bound), max_size=20))
+        xs = [Fraction(n, den) for n in nums]
+        euclid = []
+        original = ranks._rational_reconstruct
+        ranks._rational_reconstruct = lambda a, mod: euclid.append(a) or original(a, mod)
+        try:
+            got = _try_reconstruct_vector([n * pow(den, -1, m) % m for n in nums], m)
+        finally:
+            ranks._rational_reconstruct = original
+        assert got is not None
+        got_nums, got_den = got
+        assert [Fraction(n, got_den) for n in got_nums] == xs
+        assert got_den == lcm(*(x.denominator for x in xs))
+        # Euclid runs only where the running denominator grows, at least 2x
+        assert len(euclid) < got_den.bit_length()
+
+    def test_empty_vector_reconstruction(self):
+        assert _try_reconstruct_vector([], SMALL_PRIMES[0]) == ([], 1)
 
 
 class TestExactRankInfo:
@@ -295,6 +320,33 @@ class TestExactRankInfo:
         assert info.rank == 230
         # this kernel's entries are far too large for a single prime
         assert sum(len(args[2]) for args, _, _ in dixon) == 70
+
+    def test_huge_entries_certified_by_dixon(self, monkeypatch):
+        # M = [B | B w] with |B| < 2^40: the kernel vector (-w, 1) is too large
+        # for one prime, and Dixon's integer side overflows int64, so it runs
+        # on Python integers
+        rng = random.Random(11)
+        b = [[rng.randint(-(1 << 40), 1 << 40) for _ in range(136)] for _ in range(150)]
+        w = [rng.choice((-1, 1)) * rng.randint(10 ** 7 - 1000, 10 ** 7 + 1000)
+             for _ in range(136)]
+        sp = SparseCols.from_dense([row + [sum(x * y for x, y in zip(row, w))] for row in b])
+        assert not _int64_safe(sp, min(SMALL_PRIMES))
+        dixon = _spy(monkeypatch, "_dixon_null_vectors")
+        info = exact_rank_info(sp)
+        assert info.certified and info.method == "peel+modular+nullcert"
+        assert info.rank == 136
+        kernel = [-x for x in w] + [1]
+        ((_, _, vecs),) = dixon
+        assert vecs in ([kernel], [[-x for x in kernel]])
+
+    def test_large_nullity_certified(self):
+        # nullity 170: every kernel vector must be certified, however many
+        rng2 = np.random.default_rng(8)
+        b = rng2.integers(-2, 3, size=(400, 30))
+        w = rng2.integers(-2, 3, size=(30, 170))
+        info = exact_rank_info(np.hstack([b, b @ w]).tolist())
+        assert info.certified and info.method == "peel+modular+nullcert"
+        assert info.rank == 30
 
     def test_unlucky_prime_still_certified(self, monkeypatch):
         # m = a b + p u w^T has rank k + 1 over Q but only k modulo p, the
@@ -388,6 +440,24 @@ class TestRecording:
         assert all(info.crosscheck for info in registry)
         for info in registry:
             assert info.crosscheck["bareiss"] == info.crosscheck["modular"] == info.rank
+
+    def test_structured_rank_crosscheck(self):
+        built = []
+
+        def build():
+            built.append(True)
+            return [[1, 2], [2, 4]]
+
+        ranks.crosscheck_structured_rank(2, 2, build, "here")  # not recording
+        assert not built
+        with recording([]):
+            ranks.crosscheck_structured_rank(2, ranks.CROSSCHECK_CAP + 1, build, "here")
+            assert not built
+            ranks.crosscheck_structured_rank(1, 2, build, "here")
+            with pytest.raises(ranks.RankComputationError,
+                               match="structured rank 2 disagrees with engine rank 1 here"):
+                ranks.crosscheck_structured_rank(2, 2, build, "here")
+        assert len(built) == 2
 
     def test_registry_restored(self):
         assert ranks._registry is None
