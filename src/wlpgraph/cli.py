@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import verify
@@ -67,6 +68,17 @@ def _parse_range(text: str) -> range:
     if lo < 1 or hi < lo:
         raise CliError(f"bad range {text!r}")
     return range(lo, hi + 1)
+
+
+def _parse_jobs(text: str) -> int:
+    """Worker count for ``--jobs``: at least 1, at most the machine's CPU count."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    return min(jobs, os.cpu_count() or 1)
 
 
 def cmd_indpoly(args) -> int:
@@ -209,8 +221,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--output", choices=("text", "json"), default="text")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
                         help="seed for randomized suites")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="parallel workers for the classify sweep")
+    parser.add_argument("--jobs", type=_parse_jobs, default=1,
+                        help="parallel workers for the classify sweep "
+                             "(at least 1; more than the CPU count are clamped)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_ind = sub.add_parser("indpoly", help="independence polynomial and its mode")

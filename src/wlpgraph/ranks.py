@@ -1,8 +1,9 @@
 """Exact rank of integer matrices over the rationals.
 
 Small matrices go through fraction-free Bareiss elimination over
-arbitrary-precision integers, with partial pivoting on magnitude (smallest
-nonzero pivot, to limit entry growth) -- unconditional.
+arbitrary-precision integers -- unconditional -- in their wide orientation,
+with partial pivoting on magnitude (smallest nonzero pivot, to limit entry
+growth) and each row's scaling deferred until it is next eliminated.
 
 Larger ones are peeled of singleton rows and columns (an exact rank split)
 and the core is factored once, in its tall orientation, by a blocked LU
@@ -19,13 +20,15 @@ certificate:
   where that cannot overflow and in Python integers otherwise; every vector
   is then verified in exact arithmetic.  A verified set of independent null
   vectors caps the rank.  If a prime is unlucky the next one is tried.
+  A core whose dense image exceeds ``DENSE_ELEMS_CAP`` gets only a sparse
+  rank mod p: a certificate of full rank, else an uncertified lower bound.
 
 The LU runs over float64 with primes below 2^23, so panel updates become BLAS
 matrix products (64 * (p-1)^2 < 2^52 keeps every intermediate exactly
 representable), each reduced in place by a multiply-truncate step instead of
-``np.mod``.  The separate :func:`rank_modular` route uses random primes above
-2^30 in plain int64 arithmetic and exists as an independent cross-check of
-the Bareiss route.
+``np.mod``.  The separate :func:`rank_modular` route, an independent
+cross-check of the Bareiss route, row-reduces one dense int64 image modulo
+random primes above 2^30, drawn once per seed.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from __future__ import annotations
 import random
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import gcd, isqrt
 
 import numpy as np
@@ -82,16 +86,6 @@ class SparseCols:
             for j, v in enumerate(row):
                 if v:
                     cols[j].append((i, int(v)))
-        return cls(nrows, ncols, cols)
-
-    @classmethod
-    def from_entries(cls, nrows: int, ncols: int, entries) -> "SparseCols":
-        cols: list[list[tuple[int, int]]] = [[] for _ in range(ncols)]
-        for r, c, v in entries:
-            if v:
-                cols[c].append((r, int(v)))
-        for col in cols:
-            col.sort()
         return cls(nrows, ncols, cols)
 
     def to_dense(self) -> list[list[int]]:
@@ -165,45 +159,55 @@ def _coerce(matrix) -> SparseCols:
 
 
 def rank_bareiss(matrix) -> int:
-    """Rank over Q by fraction-free integer elimination.
+    """Rank over Q by fraction-free integer elimination (Bareiss, 1968).
 
-    Pivots are chosen within each column by smallest nonzero magnitude, which
-    keeps the (determinant-valued) intermediate entries as small as the
-    pivoting freedom allows.  All divisions are exact.
+    Runs on the wide orientation (rank is transpose-invariant), so a step
+    touches at most min-dim rows.  Pivots have the smallest nonzero magnitude
+    in their column, keeping the (minor-valued) entries as small as pivoting
+    allows.  Row scaling is deferred: row i is stored at the scale of the
+    step that last touched it, whose pivot is ``stamp[i]``; the skipped
+    factors telescope, so the true row is ``stored * prev // stamp[i]``.  Rows
+    with a zero in the pivot column are not touched, and the others become
+    ``(stored * piv - f * pivot_row) // stamp[i]``, an exact division.
     """
     sp = _coerce(matrix)
+    if sp.nrows > sp.ncols:
+        sp = sp.transpose()
     m = sp.to_dense()
-    nrows, ncols = sp.nrows, sp.ncols
+    nrows = sp.nrows
+    stamp = [1] * nrows
     r = 0
     prev = 1
-    for c in range(ncols):
+    for c in range(sp.ncols):
         if r == nrows:
             break
         piv_i = -1
-        piv_abs = None
+        piv_abs = 0
         for i in range(r, nrows):
             v = m[i][c]
             if v:
-                a = -v if v < 0 else v
-                if piv_abs is None or a < piv_abs:
+                s = stamp[i]
+                a = abs(v if s == prev else v * prev // s)
+                if piv_i < 0 or a < piv_abs:
                     piv_i, piv_abs = i, a
         if piv_i < 0:
             continue
         if piv_i != r:
             m[piv_i], m[r] = m[r], m[piv_i]
-        piv = m[r][c]
+            stamp[piv_i], stamp[r] = stamp[r], stamp[piv_i]
         row_r = m[r]
+        s = stamp[r]
+        if s != prev:
+            row_r[c:] = [a * prev // s for a in row_r[c:]]
+        piv = row_r[c]
+        tail = row_r[c + 1:]
         for i in range(r + 1, nrows):
             row_i = m[i]
             f = row_i[c]
             if f:
-                row_i[c + 1:] = [
-                    (a * piv - f * b) // prev
-                    for a, b in zip(row_i[c + 1:], row_r[c + 1:])
-                ]
-            elif piv != prev:
-                row_i[c + 1:] = [a * piv // prev for a in row_i[c + 1:]]
-            row_i[c] = 0
+                s = stamp[i]
+                row_i[c + 1:] = [(a * piv - f * b) // s for a, b in zip(row_i[c + 1:], tail)]
+                stamp[i] = piv
         prev = piv
         r += 1
     return r
@@ -391,26 +395,23 @@ def _sub_product_mod(c: np.ndarray, left: np.ndarray, right: np.ndarray, fp: flo
 
 
 def _rank_mod_p_int64(a: np.ndarray, p: int) -> int:
-    """Plain row-reduction rank mod p for int64 entries (p < 2^31)."""
-    a = a % p
+    """Plain row-reduction rank mod p (p < 2^31) of an int64 or object image;
+    rows are not normalized, as |row * piv - f * pivot_row| stays below 2^62."""
+    a = np.asarray(a % p, dtype=np.int64)
     nrows, ncols = a.shape
     r = 0
     for c in range(ncols):
         if r == nrows:
             break
-        nz = np.nonzero(a[r:, c])[0]
+        nz = np.flatnonzero(a[r:, c])
         if nz.size == 0:
             continue
         i = r + int(nz[0])
-        if i != r:
+        if i != r:  # rows r..i-1 are zero in column c, so the swap moves a zero there
             a[[r, i]] = a[[i, r]]
-        inv = pow(int(a[r, c]), -1, p)
-        a[r, c:] = a[r, c:] * inv % p
-        below = a[r + 1:, c]
-        nzb = np.nonzero(below)[0]
-        if nzb.size:
-            rows = r + 1 + nzb
-            a[rows, c:] = (a[rows, c:] - a[rows, c:c + 1] * a[r, c:]) % p
+        if nz.size > 1:
+            rows = r + nz[1:]
+            a[rows, c:] = (a[rows, c:] * a[r, c] - a[rows, c:c + 1] * a[r, c:]) % p
         r += 1
     return r
 
@@ -569,17 +570,6 @@ class _BlockedLU:
         return self.col_perm[free].tolist(), out
 
 
-def _rank_mod_p(sp: SparseCols, p: int) -> int:
-    """Rank of sp modulo p, choosing a dense route by size."""
-    if sp.nrows == 0 or sp.ncols == 0:
-        return 0
-    if sp.nrows * sp.ncols > DENSE_ELEMS_CAP:
-        return _rank_mod_p_big_sparse(sp, p)
-    if p < _SMALL_PRIME_BOUND:
-        return _BlockedLU(_dense_mod(sp, p), p).rank
-    return _rank_mod_p_int64(_dense_mod(sp, p, np.int64), p)
-
-
 def _rank_mod_p_big_sparse(sp: SparseCols, p: int) -> int:
     """Markowitz-style sparse elimination mod p, densifying once feasible.
 
@@ -599,14 +589,14 @@ def _rank_mod_p_big_sparse(sp: SparseCols, p: int) -> int:
         live_rows = len(rows)
         live_cols = len(cols)
         if live_rows * live_cols <= DENSE_ELEMS_CAP:
-            col_order = {j: k for k, j in enumerate(sorted(cols))}
-            entries = [
-                (ri, col_order[j], v)
-                for ri, (_, cs) in enumerate(sorted(rows.items()))
-                for j, v in cs.items()
-            ]
-            core = SparseCols.from_entries(live_rows, live_cols, entries)
-            return rank + _rank_mod_p(core, p)
+            rpos = {i: k for k, i in enumerate(rows)}
+            cpos = {j: k for k, j in enumerate(cols)}
+            core = np.zeros((live_rows, live_cols))
+            for i, cs in rows.items():
+                core[rpos[i], [cpos[j] for j in cs]] = list(cs.values())
+            if p < _SMALL_PRIME_BOUND:
+                return rank + _BlockedLU(core, p).rank
+            return rank + _rank_mod_p_int64(core.astype(np.int64), p)
         # pick pivot minimizing (row_nnz - 1)*(col_nnz - 1)
         j = min(cols, key=lambda c: len(cols[c]))
         i = min(cols[j], key=lambda r: len(rows[r]))
@@ -639,21 +629,28 @@ def _rank_mod_p_big_sparse(sp: SparseCols, p: int) -> int:
     return rank
 
 
+@lru_cache(maxsize=1024)
+def _crosscheck_primes(seed: int, count: int) -> tuple[int, ...]:
+    """The primes of :func:`rank_modular`, drawn once per (seed, count)."""
+    return tuple(random_primes(1 << 30, 1 << 31, count, random.Random(seed)))
+
+
 def rank_modular(matrix, prime_count: int = 3, seed: int = 0) -> int:
     """Max of ranks modulo ``prime_count`` random primes in (2^30, 2^31).
 
     Always a lower bound for the rational rank; equality holds unless every
     sampled prime divides the pivotal minor.  Serves as the independent
-    cross-check of the Bareiss route.
+    cross-check of the Bareiss route.  The primes are drawn once per (seed,
+    count), and one dense integer image is reduced modulo each.
     """
     sp = _coerce(matrix)
     if sp.nrows == 0 or sp.ncols == 0:
         return 0
-    rng = random.Random(seed)
-    best = 0
-    for p in random_primes(1 << 30, 1 << 31, prime_count, rng):
-        best = max(best, _rank_mod_p(sp, p))
-    return best
+    primes = _crosscheck_primes(seed, prime_count)
+    if sp.nrows * sp.ncols > DENSE_ELEMS_CAP:
+        return max((_rank_mod_p_big_sparse(sp, p) for p in primes), default=0)
+    a = _dense_mod(sp, None, np.int64 if sp.max_abs() < 1 << 63 else object)
+    return max((_rank_mod_p_int64(a, p) for p in primes), default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -883,8 +880,8 @@ def exact_rank_info(matrix, seed: int = 0) -> RankInfo:
     rank certifies itself, and a deficient rank, of any nullity, is certified
     by exact integer null vectors of the core (one per unit of its nullity)
     read from the same factorization.  If a certificate cannot be completed
-    at up to five primes, the best modular rank is returned with
-    ``certified=False``; no matrix produced by this library does that.
+    at up to five primes, or the core is too large for a dense image, the
+    best modular rank is returned with ``certified=False``.
     """
     sp = _coerce(matrix)
     info = _exact_rank_info_inner(sp, seed)
@@ -938,21 +935,23 @@ def _exact_rank_info_inner(sp: SparseCols, seed: int) -> RankInfo:
     # rank(sp) = base + rank(core) exactly, so certifying the core suffices;
     # in its tall orientation the kernel to certify is a right kernel
     tall = core if core.nrows >= core.ncols else core.transpose()
+    primes = _engine_primes(shape, seed, core.max_abs())[:5]
+    if tall.nrows * tall.ncols > DENSE_ELEMS_CAP:
+        # no dense image, hence no kernel certificate, fits the budget: the
+        # sparse rank mod p certifies full rank, else is only a lower bound
+        rp = _rank_mod_p_big_sparse(tall, primes[0])
+        return RankInfo(base + rp, rp == mind, "peel+modular-full" if rp == mind
+                        else "modular-consensus", shape, nnz)
     r = 0
-    for p in _engine_primes(shape, seed, core.max_abs())[:5]:
-        lu = None
-        if tall.nrows * tall.ncols <= DENSE_ELEMS_CAP:
-            lu = _BlockedLU(_dense_mod(tall, p), p)
-            rp = lu.rank
-        else:
-            rp = _rank_mod_p_big_sparse(tall, p)
-        if rp == mind:
-            return RankInfo(base + rp, True, "peel+modular-full", shape, nnz)
-        if rp <= r:
+    for p in primes:
+        lu = _BlockedLU(_dense_mod(tall, p), p)
+        if lu.rank == mind:
+            return RankInfo(base + mind, True, "peel+modular-full", shape, nnz)
+        if lu.rank <= r:
             continue
         # the prime bounds the rank from below; exact kernel vectors of the
         # same factorization cap it from above
-        r = rp
+        r = lu.rank
         vecs = exact_right_null_vectors(tall, mind - r, seed, lu=lu)
         if len(vecs) == mind - r:
             return RankInfo(base + r, True, "peel+modular+nullcert", shape, nnz)

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from wlpgraph.cli import main
+from wlpgraph import cli
+from wlpgraph.cli import _parse_jobs, build_parser, main
 from wlpgraph.verify import check_path_modes
 
 
@@ -149,6 +150,24 @@ class TestErrors:
 
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
+
+
+class TestJobs:
+    def test_below_one_rejected(self, capsys):
+        for bad in ("0", "-3"):
+            assert main(["--jobs", bad, "classify", "--m", "1", "--n", "1"]) == 2
+            assert f"--jobs: must be at least 1, got {bad}" in capsys.readouterr().err
+        assert main(["--jobs", "two", "classify", "--m", "1", "--n", "1"]) == 2
+        assert "--jobs: expected an integer, got 'two'" in capsys.readouterr().err
+
+    def test_clamped_to_cpu_count(self, monkeypatch):
+        # parsing only: no worker is started for the large values
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+        assert [_parse_jobs(t) for t in ("1", "3", "4", "100000")] == [1, 3, 3, 3]
+        args = build_parser().parse_args(["--jobs", "100000", "classify", "--m", "1", "--n", "1"])
+        assert args.jobs == 3
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+        assert _parse_jobs("8") == 1
 
 
 def test_corrupted_mode_table_fails_check():

@@ -88,6 +88,21 @@ class TestSparseCols:
         assert d == {"shape": [2, 2], "entries": [[0, 0, 1], [1, 1, 2]], "rank": 2}
 
 
+@st.composite
+def _integer_matrices(draw):
+    """Tall, wide and square matrices with entries up to 2^40 in magnitude,
+    zeros among them, and rows that are combinations of earlier ones."""
+    nr = draw(st.integers(1, 9))
+    nc = draw(st.integers(1, 9))
+    entry = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-(1 << 40), 1 << 40))
+    rows = [draw(st.lists(entry, min_size=nc, max_size=nc)) for _ in range(nr)]
+    for _ in range(draw(st.integers(0, 3))):
+        coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(rows), max_size=len(rows)))
+        combo = [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(nc)]
+        rows.insert(draw(st.integers(0, len(rows))), combo)
+    return rows
+
+
 class TestBareiss:
     def test_known(self):
         assert rank_bareiss([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 3
@@ -99,12 +114,72 @@ class TestBareiss:
             m = random_matrix(rng, low_rank=trial % 2 == 0)
             assert rank_bareiss(m) == rank_by_fractions(m)
 
+    @settings(max_examples=200, deadline=None)
+    @given(_integer_matrices())
+    def test_against_fractions_large_entries(self, m):
+        assert rank_bareiss(m) == rank_by_fractions(m)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 4), (4, 0), (1, 5), (5, 1), (4, 6)])
+    def test_degenerate_shapes(self, shape):
+        nr, nc = shape
+        zero = SparseCols(nr, nc, [[] for _ in range(nc)])
+        assert rank_bareiss(zero) == rank_modular(zero) == exact_rank_info(zero).rank == 0
+        if nr == 1 or nc == 1:
+            line = SparseCols.from_dense([[0, 3, 0, -2, 0]])
+            one = line if nr == 1 else line.transpose()
+            assert rank_bareiss(one) == rank_modular(one) == exact_rank_info(one).rank == 1
+
+    def test_deferred_scaling(self):
+        # the pivots 2, 6, 30, 90, -870 are not units; rows 1, 2, 3 and 5 are
+        # zero in the pivot columns before their own, so they wait at scale 1
+        # while prev grows: rows 1, 2 and 5 are brought up to date as pivot
+        # rows, and row 3 is eliminated from scale 1 at prev 30; row 4 =
+        # 2 r0 + r1 + r2 is eliminated at each of the first three steps and
+        # ends at zero
+        r0 = [2, 4, 0, 0, 6, 1, 0]
+        r1 = [0, 3, 9, 0, 0, 2, 1]
+        r2 = [0, 0, 0, 5, 10, 0, 3]
+        r3 = [0, 0, 0, 0, 0, 7, 2]
+        r4 = [2 * a + b + c for a, b, c in zip(r0, r1, r2)]
+        r5 = [0, 0, 0, 0, 0, 3, 5]
+        m = [r0, r1, r2, r3, r4, r5]
+        assert rank_bareiss(m) == rank_by_fractions(m) == 5
+        assert rank_bareiss([list(col) for col in zip(*m)]) == 5
+        # pivots 3, 3, 6, -204: s0 and s4 wait at scale 1 while prev becomes
+        # 3, then s4 is brought up to date as the pivot and s0 is eliminated
+        # from scale 1; the dependent row 2 (s0 + s2 + s3) is eliminated at
+        # every step, and a slip in the stamps (a division by prev instead of
+        # the row's stamp, a stale pivot row, a swap that leaves the stamps
+        # behind) leaves it nonzero and the rank at 5
+        s0 = [0, 2, 2, 0, 3, 0]
+        s2 = [3, 0, 5, 3, 0, 1]
+        s3 = [5, 0, -1, -1, 2, 0]
+        s4 = [0, 1, 0, 3, 5, 0]
+        dep = [2 * (a + b + c) for a, b, c in zip(s0, s2, s3)]
+        m = [s0, dep, s2, s3, s4]
+        assert rank_bareiss(m) == rank_by_fractions(m) == 4
+
 
 class TestModular:
     def test_agrees_with_bareiss(self, rng):
         for trial in range(60):
             m = random_matrix(rng, low_rank=trial % 3 == 0)
             assert rank_modular(m, seed=trial) == rank_bareiss(m)
+
+    def test_entries_beyond_int64(self):
+        big = [[1 << 70, 3, 1], [1 << 71, 6, 2], [1, -(1 << 65), 1]]
+        assert rank_modular(big) == rank_bareiss(big) == rank_by_fractions(big) == 2
+
+    def test_primes_drawn_once_per_seed(self, monkeypatch):
+        want = random_primes(1 << 30, 1 << 31, 4, random.Random(918273))
+        ranks._crosscheck_primes.cache_clear()
+        draws = _spy(monkeypatch, "random_primes")
+        used = _spy(monkeypatch, "_rank_mod_p_int64")
+        m = random_matrix(random.Random(5), max_dim=12)
+        for _ in range(2):
+            assert rank_modular(m, 4, seed=918273) == rank_bareiss(m)
+        assert len(draws) == 1
+        assert [args[1] for args, _, _ in used] == want * 2
 
     def test_primes_are_large(self):
         primes = random_primes(1 << 30, 1 << 31, 5, random.Random(1))
@@ -377,6 +452,27 @@ class TestExactRankInfo:
         (_, first, vecs_p), (_, second, vecs) = nullcert
         assert first["lu"].p == p and len(vecs_p) < shape[1] - k
         assert second["lu"].p != p and len(vecs) == shape[1] - k - 1
+
+    def test_dense_cap_respected(self, monkeypatch):
+        # over the cap there is no dense LU, hence no kernel certificate: the
+        # sparse rank mod p comes back as an uncertified lower bound
+        cap = 1000
+        rng2 = np.random.default_rng(9)
+        m = (rng2.integers(-2, 3, size=(300, 30)) @ rng2.integers(-2, 3, size=(30, 200))).tolist()
+        sizes = []
+
+        class SizedLU(_BlockedLU):
+            def __init__(self, a, p):
+                sizes.append(a.size)
+                super().__init__(a, p)
+
+        monkeypatch.setattr(ranks, "DENSE_ELEMS_CAP", cap)
+        monkeypatch.setattr(ranks, "_BlockedLU", SizedLU)
+        nullcert = _spy(monkeypatch, "exact_right_null_vectors")
+        info = exact_rank_info(m)
+        assert (info.rank, info.certified, info.method) == (30, False, "modular-consensus")
+        assert max(sizes, default=0) <= cap
+        assert not nullcert
 
     def test_agreement_with_engines(self, rng):
         for trial in range(40):
