@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import verify
 from .algebra import from_generators, from_graph, hilbert_series, parse_generators
 from .graphs import complete, lollipop, path, read_edge_list
 from .indpoly import independence_polynomial, mode_analysis
-from .lefschetz import expected_lollipop_wlp, wlp_report
+from .lefschetz import classify_lollipop, wlp_report
+from .reductions import UncertifiedRankError
 from .tensor import tensor_with_squarefree_block, verdict_via_theorem
 from .verify import DEFAULT_SEED, random_artinian_algebra
 
@@ -71,14 +71,14 @@ def _parse_range(text: str) -> range:
 
 
 def _parse_jobs(text: str) -> int:
-    """Worker count for ``--jobs``: at least 1, at most the machine's CPU count."""
+    """``--jobs``: validated (an integer, at least 1) but otherwise unused."""
     try:
         jobs = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
     if jobs < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
-    return min(jobs, os.cpu_count() or 1)
+    return jobs
 
 
 def cmd_indpoly(args) -> int:
@@ -116,6 +116,12 @@ def cmd_hilbert(args) -> int:
 def cmd_wlp(args) -> int:
     algebra = _algebra_from_args(args)
     report = wlp_report(algebra)
+    for v in report.verdicts:
+        if not v.certified:
+            # an uncertified rank is only a lower bound: no verdict follows
+            raise UncertifiedRankError(
+                f"rank {v.rank} at degree {v.degree} not certified (only a lower bound)"
+            )
     if args.output == "json":
         print(json.dumps(report.to_json_dict()))
     else:
@@ -164,30 +170,18 @@ def cmd_blockcheck(args) -> int:
     return 0 if ok else 1
 
 
-def _classify_column(task) -> list[dict]:
-    n, ms = task
+def _classify_column(n: int, ms: list[int]) -> list[dict]:
     out = []
     for m in ms:
-        report = wlp_report(from_graph(lollipop(m, n)))
-        expected = expected_lollipop_wlp(m, n)
-        out.append({"m": m, "n": n, "computed": report.has_wlp,
-                    "expected": expected, "agree": report.has_wlp == expected})
+        c = classify_lollipop(m, n, strict=False)
+        out.append({"m": m, "n": n, "computed": c.report.has_wlp,
+                    "expected": c.expected, "agree": c.agrees})
     return out
 
 
 def cmd_classify(args) -> int:
     ms = list(args.m_range)
-    tasks = [(n, ms) for n in args.n_range]
-    if args.jobs > 1 and len(tasks) > 1:
-        import multiprocessing as mp
-
-        # heaviest columns first so the pool stays busy; output order restored after
-        with mp.get_context("fork").Pool(args.jobs) as pool:
-            columns = pool.map(_classify_column, sorted(tasks, key=lambda t: -t[0]))
-        by_n = {col[0]["n"]: col for col in columns if col}
-        cells = [cell for n, _ in tasks for cell in by_n.get(n, [])]
-    else:
-        cells = [cell for task in tasks for cell in _classify_column(task)]
+    cells = [cell for n in args.n_range for cell in _classify_column(n, ms)]
     agreements = sum(1 for c in cells if c["agree"])
     ok = agreements == len(cells)
     if args.output == "json":
@@ -222,8 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
                         help="seed for randomized suites")
     parser.add_argument("--jobs", type=_parse_jobs, default=1,
-                        help="parallel workers for the classify sweep "
-                             "(at least 1; more than the CPU count are clamped)")
+                        help="accepted for compatibility (at least 1); has no effect: "
+                             "every command runs in one process")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_ind = sub.add_parser("indpoly", help="independence polynomial and its mode")
@@ -269,7 +263,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (CliError, ValueError, OSError) as exc:
+    except (CliError, ValueError, OSError, UncertifiedRankError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

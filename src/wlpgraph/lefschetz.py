@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import ranks, reductions
-from .algebra import LinearForm, MonomialAlgebra, hilbert_series, multiplication_map
-from .graphs import classify_family
+from .algebra import LinearForm, MonomialAlgebra, from_graph, hilbert_series, multiplication_map
+from .graphs import classify_family, lollipop
 from .indpoly import IntPolynomial, mode_analysis
 
 
@@ -178,9 +178,6 @@ def classify_lollipop(m: int, n: int, strict: bool = True) -> LollipopClassifica
     With ``strict`` (the default) a disagreement raises instead of being
     reported quietly.
     """
-    from .algebra import from_graph
-    from .graphs import lollipop
-
     report = wlp_report(from_graph(lollipop(m, n)))
     result = LollipopClassification(m, n, report, expected_lollipop_wlp(m, n))
     if strict and not result.agrees:

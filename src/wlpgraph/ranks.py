@@ -49,8 +49,7 @@ _REDUCE_BLOCK = 1 << 16
 
 # Route-selection caps (calibrated on this machine; correctness never depends
 # on them, only which exact route runs).
-BAREISS_CAP = 180          # min dimension up to which Bareiss is the default
-BAREISS_OPS_CAP = 2_500_000  # rows*cols*min budget for the Bareiss default
+BAREISS_OPS_CAP = 2_500_000  # rows*cols*min budget for Bareiss (so min dim <= 135)
 DENSE_ELEMS_CAP = 70_000_000  # dense float64 core budget (~560 MB)
 DIXON_MAX_STEPS = 700
 
@@ -930,7 +929,7 @@ def _exact_rank_info_inner(sp: SparseCols, seed: int) -> RankInfo:
     if core.nrows == 0 or core.ncols == 0:
         return RankInfo(base, True, "peel", shape, nnz)
     mind = min(core.nrows, core.ncols)
-    if mind <= BAREISS_CAP and core.nrows * core.ncols * mind <= BAREISS_OPS_CAP:
+    if core.nrows * core.ncols * mind <= BAREISS_OPS_CAP:
         return RankInfo(base + rank_bareiss(core), True, "peel+bareiss", shape, nnz)
     # rank(sp) = base + rank(core) exactly, so certifying the core suffices;
     # in its tall orientation the kernel to certify is a right kernel

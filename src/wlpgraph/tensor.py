@@ -133,7 +133,7 @@ class BlockMatrixReport:
         }
 
 
-def _map_flags(a: MonomialAlgebra, ell: LinearForm, i: int, t: int) -> tuple[bool, bool]:
+def map_flags(a: MonomialAlgebra, ell: LinearForm, i: int, t: int) -> tuple[bool, bool]:
     """(injective, surjective) of ell^t from degree i, with zero-space conventions."""
     h_src = a.dim(i)
     h_tgt = a.dim(i + t)
@@ -157,13 +157,13 @@ def verdict_via_theorem(tb: TensorAlgebra, i: int) -> BlockMatrixReport:
     elif i == d_top:
         # top rank is h_D + (n-1) * rank(ell at D-1): for n = 1 the identity
         # block alone already spans every row, so the map is always surjective
-        inj1, surj1 = _map_flags(inner, ell, d_top - 1, 1)
+        inj1, surj1 = map_flags(inner, ell, d_top - 1, 1)
         predicted = Verdict(
             injective=None, surjective=None, maximal_rank=surj1 or tb.n == 1
         )
     else:
-        inj1, surj1 = _map_flags(inner, ell, i - 1, 1)
-        inj2, surj2 = _map_flags(inner, ell, i - 1, 2)
+        inj1, surj1 = map_flags(inner, ell, i - 1, 1)
+        inj2, surj2 = map_flags(inner, ell, i - 1, 2)
         # The block reduction gives rank = h_i + (n-1)*rank(ell) + rank(ell^2),
         # so with a single extra variable the one-step factor drops out of the
         # surjectivity side entirely; the injectivity side is unaffected since
@@ -213,8 +213,8 @@ def tensor_failure_witness(
     """
     if mode not in ("injective", "surjective"):
         raise ValueError("mode must be 'injective' or 'surjective'")
-    flags1 = _map_flags(a1, LinearForm.all_ones(a1.num_vars), i, 1)
-    flags2 = _map_flags(a2, LinearForm.all_ones(a2.num_vars), j, 1)
+    flags1 = map_flags(a1, LinearForm.all_ones(a1.num_vars), i, 1)
+    flags2 = map_flags(a2, LinearForm.all_ones(a2.num_vars), j, 1)
     pick = 0 if mode == "injective" else 1
     if flags1[pick]:
         raise ValueError(f"the first map (degree {i}) does not fail {mode}")
@@ -222,5 +222,5 @@ def tensor_failure_witness(
         raise ValueError(f"the second map (degree {j}) does not fail {mode}")
     combined = _tensor_product(a1, a2)
     degree = i + j + 1 if mode == "surjective" else i + j
-    inj, surj = _map_flags(combined, LinearForm.all_ones(combined.num_vars), degree, 1)
+    inj, surj = map_flags(combined, LinearForm.all_ones(combined.num_vars), degree, 1)
     return not (surj if mode == "surjective" else inj)

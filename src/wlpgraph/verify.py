@@ -13,8 +13,9 @@ from . import ranks
 from .algebra import LinearForm, from_generators, from_graph, hilbert_series, multiplication_map
 from .graphs import custom, lollipop, path
 from .indpoly import independence_polynomial, mode_analysis, mode_of_path
-from .lefschetz import classify_lollipop, expected_lollipop_wlp, failure_localization, wlp_report
-from .tensor import block_matrix, tensor_failure_witness, tensor_with_squarefree_block, verdict_via_theorem
+from .lefschetz import classify_lollipop, failure_localization, wlp_report
+from .tensor import (block_matrix, map_flags, tensor_failure_witness, tensor_with_squarefree_block,
+                     verdict_via_theorem)
 
 DEFAULT_SEED = 20250810
 
@@ -359,9 +360,7 @@ def check_tensor_witnesses(seed: int = DEFAULT_SEED, extra: int = 5) -> CheckRes
         candidates = []
         for i in range(a1.socle_degree):
             for j in range(a2.socle_degree):
-                from .tensor import _map_flags
-
-                if not _map_flags(a1, ell1, i, 1)[pick] and not _map_flags(a2, ell2, j, 1)[pick]:
+                if not map_flags(a1, ell1, i, 1)[pick] and not map_flags(a2, ell2, j, 1)[pick]:
                     candidates.append((i, j))
         if not candidates:
             continue

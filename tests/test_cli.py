@@ -1,9 +1,11 @@
 import json
+import multiprocessing.pool
+import os
 
 import pytest
 
-from wlpgraph import cli
-from wlpgraph.cli import _parse_jobs, build_parser, main
+from wlpgraph import ranks, reductions
+from wlpgraph.cli import main
 from wlpgraph.verify import check_path_modes
 
 
@@ -160,14 +162,54 @@ class TestJobs:
         assert main(["--jobs", "two", "classify", "--m", "1", "--n", "1"]) == 2
         assert "--jobs: expected an integer, got 'two'" in capsys.readouterr().err
 
-    def test_clamped_to_cpu_count(self, monkeypatch):
-        # parsing only: no worker is started for the large values
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
-        assert [_parse_jobs(t) for t in ("1", "3", "4", "100000")] == [1, 3, 3, 3]
-        args = build_parser().parse_args(["--jobs", "100000", "classify", "--m", "1", "--n", "1"])
-        assert args.jobs == 3
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
-        assert _parse_jobs("8") == 1
+    def test_no_pool_started(self, capsys, monkeypatch):
+        # --jobs starts nothing: the sweep runs in this process, so its output
+        # cannot depend on the value
+        def refuse(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(multiprocessing.pool.Pool, "__init__", refuse)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        runs = [run_cli(capsys, ["--output", "json", "--jobs", jobs,
+                                 "classify", "--m", "1..3", "--n", "1..6"]) for jobs in ("2", "1")]
+        assert runs[0] == runs[1]
+        code, out = runs[0]
+        assert code == 0 and json.loads(out)["total"] == 18
+
+
+@pytest.fixture
+def starved_engine(monkeypatch):
+    """Caps under which the engine certifies no rank-deficient core: Bareiss
+    never runs and no dense LU fits, so a deficient rank is a lower bound."""
+    monkeypatch.setattr(ranks, "DENSE_ELEMS_CAP", 100)
+    monkeypatch.setattr(ranks, "BAREISS_OPS_CAP", 0)
+    cached = (reductions.path_ell2_rank, reductions.path_ell_rank)
+    for fn in cached:
+        fn.cache_clear()
+    yield
+    for fn in cached:
+        fn.cache_clear()
+
+
+class TestUncertified:
+    def test_classify_exits_2(self, capsys, starved_engine):
+        code = main(["classify", "--m", "1..1", "--n", "11..11"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ell^2 rank of P_10 at degree 2 not certified")
+
+    def test_wlp_exits_2(self, capsys, starved_engine, tmp_path):
+        # C_12 has no structured reduction: its ranks come from the engine
+        f = tmp_path / "c12.txt"
+        f.write_text("n 12\n" + "".join(f"{i} {(i + 1) % 12}\n" for i in range(12)))
+        for argv in (["wlp", "--graph-file", str(f)],
+                     ["--output", "json", "wlp", "--graph-file", str(f)]):
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+            assert captured.err.startswith("error: rank 102 at degree 3 not certified")
 
 
 def test_corrupted_mode_table_fails_check():

@@ -436,7 +436,9 @@ class TestExactRankInfo:
         w = rng2.integers(-2, 3, size=(1, shape[1]))
         sp = SparseCols.from_dense((a @ b + p * (u @ w)).tolist())
         assert _engine_primes(shape, 0, sp.max_abs())[0] == p
-        assert ranks._peel(sp)[0].ncols == shape[1] > ranks.BAREISS_CAP
+        core = ranks._peel(sp)[0]
+        assert (core.nrows, core.ncols) == shape
+        assert shape[0] * shape[1] * min(shape) > ranks.BAREISS_OPS_CAP  # not Bareiss
 
         lu = _BlockedLU(_dense_mod(sp, p), p)
         assert lu.rank == k
