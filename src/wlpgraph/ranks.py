@@ -24,11 +24,15 @@ certificate:
   rank mod p: a certificate of full rank, else an uncertified lower bound.
 
 The LU runs over float64 with primes below 2^23, so panel updates become BLAS
-matrix products (64 * (p-1)^2 < 2^52 keeps every intermediate exactly
-representable), each reduced in place by a multiply-truncate step instead of
-``np.mod``.  The separate :func:`rank_modular` route, an independent
-cross-check of the Bareiss route, row-reduces one dense int64 image modulo
-random primes above 2^30, drawn once per seed.
+matrix products.  Residues are kept centred, |r| <= p/2 + 2, by one
+``x - rint(x/p) * p`` step, and reduction is delayed to where exactness needs
+it: a panel update adds at most 64 (p/2 + 2)^2 < 2^51 to an entry, so the
+trailing block takes several updates unreduced, with a running bound on its
+entries, and is reduced only when the next one could pass 2^53 - p.  The
+separate :func:`rank_modular` route, an independent cross-check of the
+Bareiss route, row-reduces one dense int64 image modulo random primes above
+2^30, drawn once per seed, and stops at the first prime that reaches full
+rank.
 """
 
 from __future__ import annotations
@@ -41,7 +45,9 @@ from math import gcd, isqrt
 
 import numpy as np
 
-# Blocked-LU panel width; bounds float64 accumulation to 64*(p-1)^2 < 2^53.
+# Blocked-LU panel width.  With an odd p < 2^23 a centred residue has
+# |r| <= h = p//2 + 2 <= 2^22 + 1, so one panel update adds at most
+# 64 h^2 < 2^51 to an entry (see _BlockedLU); float64 is exact below 2^53.
 _PANEL = 64
 _SMALL_PRIME_BOUND = 1 << 23
 # Elements per row block of the in-place reductions and trailing updates.
@@ -350,39 +356,32 @@ def _dense_mod(sp: SparseCols, p: int | None, dtype=np.float64) -> np.ndarray:
     return a
 
 
-def _mod_inplace(x: np.ndarray, fp: float, q: np.ndarray | None = None) -> np.ndarray:
-    """Reduce integral float64 ``x`` into [0, fp) in place (fp < 2^23, |x| < 2^53).
+def _reduce(x: np.ndarray, fp: float) -> np.ndarray:
+    """Centre integral float64 ``x`` modulo fp in place: |x| <= 2^53 - p on
+    entry, x congruent and |x| <= p/2 + 2 on return.
 
-    Computes x - q * p with q = trunc(x * (1/p)).  The rounded quotient is off
-    by at most one and only where x is within 1 of a multiple of p; rounding
-    toward zero keeps |q * p| <= |x| + 1 <= 2^53, so every step is exact and
-    the remainder lies in [-p, p], which one +-p fix-up brings into [0, p).
-    ``q`` is scratch of x's shape; without it the work runs a block of rows at
-    a time, so no temporary larger than ``_REDUCE_BLOCK`` elements is
-    allocated.
+    Computes x - q * p with q = rint(x * (1/p)).  The computed quotient is
+    within |x/p| * 2^-52 < 2/p of x/p, so |x/p - q| <= 1/2 + 2/p, that is
+    |x - q * p| <= p/2 + 2; and |q * p| <= |x| + p/2 + 2 <= 2^53, so every
+    step is exact.  The work runs a block of rows at a time, so no temporary
+    larger than ``_REDUCE_BLOCK`` elements is allocated.
     """
-    if q is None:
-        if x.size == 0:
-            return x
-        step = max(1, _REDUCE_BLOCK * x.shape[0] // x.size)
-        buf = np.empty((min(step, x.shape[0]),) + x.shape[1:])
-        for i0 in range(0, x.shape[0], step):
-            blk = x[i0:i0 + step]
-            _mod_inplace(blk, fp, buf[:blk.shape[0]])
-        return x
-    np.multiply(x, 1.0 / fp, out=q)
-    np.trunc(q, out=q)
-    q *= fp
-    x -= q
-    np.add(x, fp, out=x, where=x < 0)
-    np.subtract(x, fp, out=x, where=x >= fp)
+    step = max(1, _REDUCE_BLOCK * x.shape[0] // max(x.size, 1))
+    buf = np.empty((min(step, x.shape[0]),) + x.shape[1:])
+    for i0 in range(0, x.shape[0], step):
+        blk = x[i0:i0 + step]
+        q = buf[:blk.shape[0]]
+        np.multiply(blk, 1.0 / fp, out=q)
+        np.rint(q, out=q)
+        q *= fp
+        blk -= q
     return x
 
 
-def _sub_product_mod(c: np.ndarray, left: np.ndarray, right: np.ndarray, fp: float):
-    """c <- (c - left @ right) mod p in place, a block of rows at a time, so
-    the product never needs a temporary as large as c.  Exact while every
-    product sum stays below 2^52 (inner dimension <= _PANEL)."""
+def _sub_product(c: np.ndarray, left: np.ndarray, right: np.ndarray):
+    """c <- c - left @ right in place, a block of rows at a time, so the
+    product never needs a temporary as large as c.  No reduction: the caller
+    keeps every entry within 2^53 - p."""
     step = max(1, _REDUCE_BLOCK // max(c.shape[1], 1))
     buf = np.empty((min(step, c.shape[0]), c.shape[1]))
     for i0 in range(0, c.shape[0], step):
@@ -390,7 +389,6 @@ def _sub_product_mod(c: np.ndarray, left: np.ndarray, right: np.ndarray, fp: flo
         prod = buf[:blk.shape[0]]
         np.matmul(left[i0:i0 + step], right, out=prod)
         blk -= prod
-        _mod_inplace(blk, fp, prod)
 
 
 def _rank_mod_p_int64(a: np.ndarray, p: int) -> int:
@@ -402,7 +400,7 @@ def _rank_mod_p_int64(a: np.ndarray, p: int) -> int:
     for c in range(ncols):
         if r == nrows:
             break
-        nz = np.flatnonzero(a[r:, c])
+        nz = a[r:, c].nonzero()[0]
         if nz.size == 0:
             continue
         i = r + int(nz[0])
@@ -418,14 +416,36 @@ def _rank_mod_p_int64(a: np.ndarray, p: int) -> int:
 class _BlockedLU:
     """In-place blocked LU mod p (p < 2^23) over float64 with BLAS updates.
 
-    Handles rectangular, rank-deficient input.  On return P A Q = L U mod p:
-    row k of the factors is row ``perm[k]`` of A, column c is column
-    ``col_perm[c]``, L is unit lower triangular and U (``rank`` rows) is in
-    row echelon form.  Both share ``a``.  Each panel's pivots fill one square
-    block, recorded in ``panels`` as (r0, r1, k0): pivots r0..r1-1 sit in
-    columns k0..k0+r1-r0-1, and the panel's non-pivot columns follow them.
-    The pivot rows and columns give a nonsingular r x r system that
-    :meth:`solve` solves; :meth:`kernel_basis` reads the kernel.
+    Handles rectangular, rank-deficient input whose entries are residues,
+    |a| < p.  On return P A Q = L U mod p: row k of the factors is row
+    ``perm[k]`` of A, column c is column ``col_perm[c]``, L is unit lower
+    triangular and U (``rank`` rows) is in row echelon form.  Both share
+    ``a``, whose entries stay residues (centred or in [0, p)).  Each panel's
+    pivots fill one square block, recorded in ``panels`` as (r0, r1, k0):
+    pivots r0..r1-1 sit in columns k0..k0+r1-r0-1, and the panel's non-pivot
+    columns follow them.  The pivot rows and columns give a nonsingular
+    r x r system that :meth:`solve` solves; :meth:`kernel_basis` reads the
+    kernel.
+
+    Reduction is delayed to where exactness needs it.  Let h = p//2 + 2, the
+    bound of a centred residue from :func:`_reduce`; an odd p < 2^23 gives
+    h <= 2^22 + 1.  Every product the factorization forms sums at most
+    ``_PANEL`` = 64 terms whose factors are residues, |x| < p, so it stays
+    below 64 p^2 < 2^52 and is exact.  The trailing update subtracts
+    L21 @ U12 with both factors centred, which moves an entry by at most
+    64 h^2 < 2^51.  So the trailing block is not reduced after an update: a
+    running bound on its entries is kept, and the block is reduced only when
+    the next update could take it past 2^53 - p, the limit of
+    :func:`_reduce`.  The primes of ``SMALL_PRIMES`` lie within 2^14 of
+    2^23, so h < 2^22, 64 h^2 < 2^50 and p + 8 * 64 h^2 < 2^53 - p while
+    9 * 64 h^2 > 2^53: the block is reduced once every eight panels.  A
+    panel's columns are reduced as they are copied out, and its U row block
+    before and after the product with L11^-1.
+
+    Within a panel the multiplier columns are stored unscaled (pivot times
+    multiplier): each column step applies the pivot inverses to the
+    length-t vector of U entries and to the new row of L11^-1, and L21 and
+    the strict lower part of L11 are scaled once when the panel is done.
     """
 
     def __init__(self, a: np.ndarray, p: int):
@@ -444,6 +464,9 @@ class _BlockedLU:
         a, p = self.a, self.p
         nrows, ncols = self.nrows, self.ncols
         fp = float(p)
+        h = p // 2 + 2  # bound of a centred residue
+        growth = _PANEL * h * h  # what one trailing update adds, at most
+        bound = p  # on the entries of the trailing block a[r:, k0:]
         r = 0
         k0 = 0
         while k0 < ncols and r < nrows:
@@ -453,45 +476,52 @@ class _BlockedLU:
             # factor the panel in a Fortran-order scratch block (contiguous
             # columns); pivot columns are swapped to the panel front so the
             # L/U blocks stay contiguous slices
-            panel = np.asfortranarray(a[r0:, k0:k1])
+            panel = np.asfortranarray(_reduce(a[r0:, k0:k1], fp))
             orig = list(range(k0, k1))
-            row_swaps: list[tuple[int, int]] = []
-            linv = np.identity(w, dtype=np.float64)  # inverse of the unit-lower multiplier triangle
+            src = np.arange(r0, nrows)  # row of a that each panel row came from
+            linv = np.identity(w)  # inverse of the unit-lower multiplier triangle
+            inv = np.empty(w)  # pivot inverses
             t = 0
             for jl in range(w):
                 col = panel[:, jl]
                 if t:
+                    # panel[t:, :t] holds the multipliers times their pivots
                     u = linv[:t, :t] @ col[:t] % fp
                     col[:t] = u
-                    col[t:] -= panel[t:, :t] @ u
-                    _mod_inplace(col[t:], fp)
-                nz = np.flatnonzero(col[t:])
-                if nz.size == 0:
+                    col[t:] -= panel[t:, :t] @ (u * inv[:t] % fp)
+                    _reduce(col[t:], fp)
+                if t == nrows - r0:
                     continue
-                il = t + int(nz[0])
+                il = t + int((col[t:] != 0).argmax())
+                if not col[il]:
+                    continue
                 if il != t:
-                    panel[[t, il]] = panel[[il, t]]
-                    row_swaps.append((t, il))
+                    panel[t], panel[il] = panel[il].copy(), panel[t].copy()
+                    src[t], src[il] = src[il], src[t]
                 if jl != t:
-                    panel[:, [t, jl]] = panel[:, [jl, t]]
+                    panel[:, t], panel[:, jl] = col.copy(), panel[:, t].copy()
                     orig[t], orig[jl] = orig[jl], orig[t]
-                inv = pow(int(panel[t, t]), -1, p)
-                self.piv_inv.append(inv)
-                mult = panel[t + 1:, t]
-                mult *= float(inv)
-                _mod_inplace(mult, fp)
+                piv = pow(int(panel[t, t]), -1, p)
+                self.piv_inv.append(piv)
+                inv[t] = piv
                 if t:
-                    linv[t, :t] = -(panel[t, :t] @ linv[:t, :t]) % fp
+                    linv[t, :t] = -((panel[t, :t] * inv[:t] % fp) @ linv[:t, :t]) % fp
                 t += 1
             np_ = t
-            # replay the panel's row swaps on the rest of the matrix
-            for il, jl_ in row_swaps:
-                gi, gj = r0 + il, r0 + jl_
-                a[gi, :k0], a[gj, :k0] = a[gj, :k0].copy(), a[gi, :k0].copy()
-                if k1 < ncols:
-                    a[gi, k1:], a[gj, k1:] = a[gj, k1:].copy(), a[gi, k1:].copy()
-                self.perm[[gi, gj]] = self.perm[[gj, gi]]
-            # and its column swaps on the U rows above it
+            if np_:
+                lower = np.tril_indices(np_, -1)
+                panel[lower] = panel[lower] * inv[lower[1]] % fp
+                l21 = panel[np_:, :np_]
+                l21 *= inv[:np_]
+                _reduce(l21.T, fp)
+            # apply the panel's row swaps to the rest of the matrix
+            moved = np.flatnonzero(src != np.arange(r0, nrows))
+            if moved.size:
+                dst, rows = r0 + moved, src[moved]
+                a[dst, :k0] = a[rows, :k0]
+                a[dst, k1:] = a[rows, k1:]
+                self.perm[dst] = self.perm[rows]
+            # and its column swaps to the U rows above it
             if r0 and orig != list(range(k0, k1)):
                 a[:r0, k0:k1] = a[:r0, orig]
             self.col_perm[k0:k1] = orig
@@ -500,11 +530,15 @@ class _BlockedLU:
             if np_:
                 self.panels.append((r0, r, k0))
                 if k1 < ncols:
-                    ublk = a[r0:r, k1:]
+                    ublk = _reduce(a[r0:r, k1:], fp)
                     ublk[...] = linv[:np_, :np_] @ ublk
-                    _mod_inplace(ublk, fp)
+                    _reduce(ublk, fp)
                     if r < nrows:
-                        _sub_product_mod(a[r:, k1:], panel[np_:, :np_], ublk, fp)
+                        if bound + growth > (1 << 53) - p:
+                            _reduce(a[r:, k1:], fp)
+                            bound = h
+                        _sub_product(a[r:, k1:], panel[np_:, :np_], ublk)
+                        bound += growth
             k0 = k1
         self.rank = r
 
@@ -520,7 +554,7 @@ class _BlockedLU:
         blk = y[r0:r1]
         for s0, s1, j0 in panels:
             blk -= self.a[r0:r1, j0:j0 + s1 - s0] @ y[s0:s1]
-            _mod_inplace(blk, float(self.p))
+            _reduce(blk, float(self.p))
 
     def solve(self, y: np.ndarray) -> np.ndarray:
         """Solve (P A Q)[:r, piv_pos] x = y mod p in place: the pivot rows and
@@ -640,16 +674,21 @@ def rank_modular(matrix, prime_count: int = 3, seed: int = 0) -> int:
     Always a lower bound for the rational rank; equality holds unless every
     sampled prime divides the pivotal minor.  Serves as the independent
     cross-check of the Bareiss route.  The primes are drawn once per (seed,
-    count), and one dense integer image is reduced modulo each.
+    count), and one dense integer image is reduced modulo each in turn until
+    one reaches full rank, min(rows, cols), which no other prime can exceed.
     """
     sp = _coerce(matrix)
     if sp.nrows == 0 or sp.ncols == 0:
         return 0
-    primes = _crosscheck_primes(seed, prime_count)
-    if sp.nrows * sp.ncols > DENSE_ELEMS_CAP:
-        return max((_rank_mod_p_big_sparse(sp, p) for p in primes), default=0)
-    a = _dense_mod(sp, None, np.int64 if sp.max_abs() < 1 << 63 else object)
-    return max((_rank_mod_p_int64(a, p) for p in primes), default=0)
+    a = None
+    if sp.nrows * sp.ncols <= DENSE_ELEMS_CAP:
+        a = _dense_mod(sp, None, np.int64 if sp.max_abs() < 1 << 63 else object)
+    best = 0
+    for p in _crosscheck_primes(seed, prime_count):
+        best = max(best, _rank_mod_p_big_sparse(sp, p) if a is None else _rank_mod_p_int64(a, p))
+        if best == min(sp.nrows, sp.ncols):
+            break
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from .algebra import (
     monomial_divides,
     multiplication_map,
 )
+from .reductions import UncertifiedRankError
 
 
 class TensorAlgebra:
@@ -133,15 +134,30 @@ class BlockMatrixReport:
         }
 
 
+def _certified_rank(gm: GradedMap) -> int:
+    """The rank of ``gm``; an uncertified rank is only a lower bound, from
+    which no injective or surjective verdict follows, so it raises."""
+    info = gm.rank_info
+    if not info.certified:
+        raise UncertifiedRankError(
+            f"rank {info.rank} of the {info.shape[0]}x{info.shape[1]} multiplication map "
+            f"from degree {gm.source_degree} not certified (method {info.method})"
+        )
+    return info.rank
+
+
 def map_flags(a: MonomialAlgebra, ell: LinearForm, i: int, t: int) -> tuple[bool, bool]:
-    """(injective, surjective) of ell^t from degree i, with zero-space conventions."""
+    """(injective, surjective) of ell^t from degree i, with zero-space conventions.
+
+    Raises :class:`UncertifiedRankError` when the rank is not certified.
+    """
     h_src = a.dim(i)
     h_tgt = a.dim(i + t)
     if h_src == 0:
         return True, h_tgt == 0
     if h_tgt == 0:
         return False, True
-    rank = multiplication_map(a, ell, i, t).rank
+    rank = _certified_rank(multiplication_map(a, ell, i, t))
     return rank == h_src, rank == h_tgt
 
 
@@ -178,7 +194,7 @@ def verdict_via_theorem(tb: TensorAlgebra, i: int) -> BlockMatrixReport:
     gm = block_matrix(tb, i)
     h_src = tb.realized.dim(i)
     h_tgt = tb.realized.dim(i + 1)
-    rank = gm.rank
+    rank = _certified_rank(gm)
     direct = Verdict(
         injective=rank == h_src,
         surjective=rank == h_tgt,

@@ -16,10 +16,10 @@ from wlpgraph.ranks import (
     _engine_primes,
     _int64_safe,
     _lift_null_vector,
-    _mod_inplace,
     _peel,
     _rank_mod_p_int64,
     _rational_reconstruct,
+    _reduce,
     _try_reconstruct_vector,
     exact_right_null_vectors,
     exact_rank_info,
@@ -175,11 +175,26 @@ class TestModular:
         ranks._crosscheck_primes.cache_clear()
         draws = _spy(monkeypatch, "random_primes")
         used = _spy(monkeypatch, "_rank_mod_p_int64")
-        m = random_matrix(random.Random(5), max_dim=12)
+        # rank-deficient (the last row is the sum of the first two), so no
+        # prime reaches full rank and every one of them runs
+        rng = random.Random(5)
+        m = [[rng.randint(-9, 9) for _ in range(10)] for _ in range(6)]
+        m.append([a + b for a, b in zip(m[0], m[1])])
+        assert rank_bareiss(m) == 6
         for _ in range(2):
             assert rank_modular(m, 4, seed=918273) == rank_bareiss(m)
         assert len(draws) == 1
         assert [args[1] for args, _, _ in used] == want * 2
+
+    def test_stops_at_full_rank(self, monkeypatch):
+        # the maximum over the primes is capped by min(rows, cols), so once a
+        # prime reaches it the others cannot change the value
+        want = random_primes(1 << 30, 1 << 31, 3, random.Random(4))
+        ranks._crosscheck_primes.cache_clear()
+        used = _spy(monkeypatch, "_rank_mod_p_int64")
+        m = [[3, 1, 0, 2], [1, 0, 5, 0], [0, 2, 1, 1]]
+        assert rank_modular(m, 3, seed=4) == rank_bareiss(m) == 3
+        assert [args[1] for args, _, _ in used] == want[:1]
 
     def test_primes_are_large(self):
         primes = random_primes(1 << 30, 1 << 31, 5, random.Random(1))
@@ -212,38 +227,90 @@ class TestModular:
             assert np.array_equal(lu.solve(b[lu.perm]), x)
 
 
-_BIG = (1 << 53) - 1
-
-
 @st.composite
 def _prime_and_values(draw):
-    """A prime below 2^23 and integers with |x| < 2^53, biased to the edges:
-    multiples of p plus or minus one, and the extremes."""
+    """A prime below 2^23 and integers with |x| <= 2^53 - p - 1, the range
+    :func:`_reduce` accepts, biased to the edges: multiples of p plus or minus
+    one, +-p/2, where rounding to the centred residue ties, and the extremes."""
     p = draw(st.sampled_from((2, 3, 5, 65537, *SMALL_PRIMES)))
+    lim = (1 << 53) - p - 1
     near = st.builds(lambda k, d: k * p + d,
-                     st.integers(-(_BIG // p) + 1, _BIG // p - 1), st.sampled_from((-1, 0, 1)))
-    value = st.one_of(st.integers(-_BIG, _BIG), near, st.sampled_from((0, _BIG, -_BIG)))
+                     st.integers(-(lim // p) + 1, lim // p - 1), st.sampled_from((-1, 0, 1)))
+    edge = st.sampled_from((0, lim, -lim, p // 2, -(p // 2), p // 2 + 1, -(p // 2) - 1))
+    value = st.one_of(st.integers(-lim, lim), near, edge)
     return p, draw(st.lists(value, min_size=1, max_size=60))
+
+
+def _assert_factors(lu, a):
+    """P A Q = L U mod p, with L and U read from ``lu.a`` and A given by its
+    residues ``a`` (an int64 array)."""
+    p, r = lu.p, lu.rank
+    f = lu.a.astype(np.int64) % p
+    lower = np.zeros((lu.nrows, r), dtype=np.int64)
+    upper = np.zeros((r, lu.ncols), dtype=np.int64)
+    for k, c in enumerate(lu.piv_pos):
+        lower[k, k] = 1
+        lower[k + 1:, k] = f[k + 1:, c]
+        upper[k, c:] = f[k, c:]
+    assert np.array_equal(a[lu.perm][:, lu.col_perm], lower @ upper % p)
 
 
 class TestModularKernels:
     @settings(max_examples=300, deadline=None)
     @given(_prime_and_values(), st.integers(1, 7))
-    @example((SMALL_PRIMES[0], [_BIG, -_BIG, 0, SMALL_PRIMES[0] + 1, -SMALL_PRIMES[0] - 1]), 2)
-    def test_reduction_matches_np_mod(self, case, width):
+    @example((SMALL_PRIMES[0], [(1 << 53) - SMALL_PRIMES[0] - 1, -(1 << 53) + SMALL_PRIMES[0] + 1,
+                                0, SMALL_PRIMES[0] + 1, -SMALL_PRIMES[0] - 1]), 2)
+    def test_centred_reduction(self, case, width):
         p, values = case
         values = values + [0] * (-len(values) % width)
         x = np.array(values, dtype=np.float64).reshape(-1, width)
         assert np.array_equal(x, np.array(values, dtype=np.int64).reshape(-1, width))
-        want = np.mod(x, float(p))
         saved = ranks._REDUCE_BLOCK
         ranks._REDUCE_BLOCK = 2 * width  # several row blocks even for short inputs
         try:
-            got = _mod_inplace(x, float(p))
+            got = _reduce(x, float(p))
         finally:
             ranks._REDUCE_BLOCK = saved
-        assert np.array_equal(got, want)
-        assert got.ravel().tolist() == [v % p for v in values]
+        assert got is x
+        assert all(r == int(r) for r in got.ravel())
+        residues = [int(r) for r in got.ravel()]
+        assert [r % p for r in residues] == [v % p for v in values]
+        assert all(2 * abs(r) <= p + 4 for r in residues)
+
+    def test_delayed_trailing_reduction(self, rng, monkeypatch):
+        # ten panels of residues near +-p/2 at the largest small prime: eight
+        # trailing updates fit below 2^53 - p, so the ninth is preceded by the
+        # one reduction of the whole trailing block; columns 100, 450 and 599
+        # depend on earlier ones, so the kernel is read too
+        p = max(SMALL_PRIMES)
+        nr = nc = 600
+        half = p // 2
+        a = [[rng.choice((-1, 1)) * rng.randint(half - 40, half) for _ in range(nc)]
+             for _ in range(nr)]
+        for row in a:
+            row[100] = (row[3] + row[7] + half) % p - half
+            row[450] = (2 * row[5] + half) % p - half
+            row[599] = row[0]
+        calls = []
+        for name in ("_reduce", "_sub_product"):
+            def spy(x, *args, _name=name, _original=getattr(ranks, name)):
+                calls.append((_name, x.ctypes.data, x.shape))
+                return _original(x, *args)
+            monkeypatch.setattr(ranks, name, spy)
+        lu = _BlockedLU(np.array(a, dtype=np.float64), p)
+        r = lu.rank
+        assert r == nc - 3 and len(lu.panels) == 10
+        # a reduction of the very block that the next call updates
+        fired = [c for c, d in zip(calls, calls[1:])
+                 if (c[0], d[0]) == ("_reduce", "_sub_product") and c[1:] == d[1:]]
+        assert sum(c[0] == "_sub_product" for c in calls) == 9 and len(fired) == 1
+        assert np.abs(lu.a).max() < p
+        am = np.array(a, dtype=np.int64) % p
+        _assert_factors(lu, am)
+        free, basis = lu.kernel_basis(nc)
+        assert sorted(free) == [100, 450, 599]
+        assert ((basis >= 0) & (basis < p)).all()
+        assert not (am @ basis.astype(np.int64) % p).any()
 
     def test_factors_after_panel_column_swaps(self, rng):
         # column 5 depends on columns 1, 2 and column 70 on column 3, so each
@@ -263,16 +330,8 @@ class TestModularKernels:
         assert lu.col_perm.tolist() != list(range(nc))
         assert any(r0 > 0 and lu.col_perm[k0 + r1 - r0 - 1] != k0 + r1 - r0 - 1
                    for r0, r1, k0 in lu.panels)
-        pos = lu.piv_pos
-        f = lu.a.astype(np.int64)
-        lower = np.zeros((nr, r), dtype=np.int64)
-        upper = np.zeros((r, nc), dtype=np.int64)
-        for k, c in enumerate(pos):
-            lower[k, k] = 1
-            lower[k + 1:, k] = f[k + 1:, c]
-            upper[k, c:] = f[k, c:]
         a = np.array(m, dtype=np.int64) % p
-        assert np.array_equal(a[lu.perm][:, lu.col_perm], lower @ upper % p)
+        _assert_factors(lu, a)
         free, basis = lu.kernel_basis(nc)
         assert sorted(free) == [5, 70, 100]
         assert not (a @ basis.astype(np.int64) % p).any()

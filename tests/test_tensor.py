@@ -14,6 +14,9 @@ from wlpgraph import (
     tensor_with_squarefree_block,
     verdict_via_theorem,
 )
+from wlpgraph import ranks
+from wlpgraph.reductions import UncertifiedRankError
+from wlpgraph.tensor import map_flags
 from wlpgraph.verify import _expected_block_layout, random_artinian_algebra
 
 
@@ -179,3 +182,25 @@ class TestFailureWitness:
         a = ky_mod(2)
         with pytest.raises(ValueError):
             tensor_failure_witness(a, 0, a, 0, "bijective")
+
+
+@pytest.mark.parametrize("via_verdict", [False, True])
+def test_uncertified_rank_raises(monkeypatch, via_verdict):
+    # with no dense image and no Bareiss allowed, a deficient core keeps only
+    # its sparse rank mod p, a lower bound (the first is a 22x22 map of rank
+    # 21): the flags and verdicts built on it must raise instead of reading
+    # it as a definite injective/surjective answer
+    monkeypatch.setattr(ranks, "DENSE_ELEMS_CAP", 100)
+    monkeypatch.setattr(ranks, "BAREISS_OPS_CAP", 0)
+    rng = random.Random(7)
+    with pytest.raises(UncertifiedRankError, match="not certified"):
+        for _ in range(30):
+            algebra = random_artinian_algebra(rng)
+            for n in (1, 2, 3):
+                tb = tensor_with_squarefree_block(n, algebra)
+                ell = LinearForm.all_ones(tb.realized.num_vars)
+                for i in range(algebra.socle_degree + 1):
+                    if via_verdict:
+                        verdict_via_theorem(tb, i)
+                    else:
+                        map_flags(tb.realized, ell, i, 1)
