@@ -44,7 +44,7 @@ from .algebra import (
     multiplication_map,
     parse_generators,
 )
-from .ranks import RankInfo, SparseCols, rank_bareiss, rank_modular
+from .ranks import RankInfo, SparseCols, UncertifiedRankError, rank_bareiss, rank_modular
 from .tensor import (
     BlockMatrixReport,
     TensorAlgebra,
@@ -77,7 +77,7 @@ __all__ = [
     "MonomialAlgebra", "LinearForm", "GradedMap", "Monomial",
     "from_graph", "from_generators", "hilbert_series", "multiplication_map",
     "exact_rank", "parse_generators", "EmptyGeneratorsError", "NotArtinianError",
-    "SparseCols", "RankInfo", "rank_bareiss", "rank_modular",
+    "SparseCols", "RankInfo", "UncertifiedRankError", "rank_bareiss", "rank_modular",
     "TensorAlgebra", "BlockMatrixReport", "tensor_with_squarefree_block",
     "block_matrix", "verdict_via_theorem", "tensor_failure_witness",
     "DegreeVerdict", "WlpReport", "FailureTag", "LollipopClassification",

@@ -235,7 +235,10 @@ class GradedMap:
 
     @property
     def rank(self) -> int:
-        return self.rank_info.rank
+        """The exact rank; raises :class:`ranks.UncertifiedRankError` where
+        :attr:`rank_info` holds only a lower bound."""
+        info = self.rank_info
+        return info.certified_rank(f"rank {info.rank} at degree {self.source_degree}")
 
     @property
     def rank_info(self) -> ranks.RankInfo:
@@ -286,7 +289,7 @@ def _single_step_matrix(a: MonomialAlgebra, ell: LinearForm, i: int) -> ranks.Sp
 
 
 def exact_rank(matrix) -> int:
-    """Rank over the rationals of an integer matrix (or a GradedMap)."""
+    """Certified rank over the rationals of an integer matrix (or a GradedMap)."""
     if isinstance(matrix, GradedMap):
         return matrix.rank
     return ranks.exact_rank(matrix)

@@ -17,13 +17,9 @@ from .algebra import from_generators, from_graph, hilbert_series, parse_generato
 from .graphs import complete, lollipop, path, read_edge_list
 from .indpoly import independence_polynomial, mode_analysis
 from .lefschetz import classify_lollipop, wlp_report
-from .reductions import UncertifiedRankError
+from .ranks import UncertifiedRankError
 from .tensor import tensor_with_squarefree_block, verdict_via_theorem
 from .verify import DEFAULT_SEED, random_artinian_algebra
-
-
-class CliError(ValueError):
-    """Raised for bad invocations; also plays nicely as an argparse type error."""
 
 
 def _add_graph_args(sub, gens: bool = False):
@@ -48,7 +44,7 @@ def _graph_from_args(args):
         return lollipop(*args.lollipop)
     if args.graph_file is not None:
         return read_edge_list(args.graph_file)
-    raise CliError("no graph source given")
+    raise ValueError("no graph source given")
 
 
 def _algebra_from_args(args):
@@ -60,13 +56,15 @@ def _algebra_from_args(args):
 
 
 def _parse_range(text: str) -> range:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        lo, hi = int(lo), int(hi)
-    else:
-        lo = hi = int(text)
+    """``A..B`` or ``A`` with 1 <= A <= B; argparse shows only the message of
+    an ``ArgumentTypeError``, so every malformed range raises one."""
+    parts = text.split("..", 1)
+    try:
+        lo, hi = int(parts[0]), int(parts[-1])
+    except ValueError:
+        lo = hi = 0
     if lo < 1 or hi < lo:
-        raise CliError(f"bad range {text!r}")
+        raise argparse.ArgumentTypeError(f"bad range {text!r}")
     return range(lo, hi + 1)
 
 
@@ -116,12 +114,6 @@ def cmd_hilbert(args) -> int:
 def cmd_wlp(args) -> int:
     algebra = _algebra_from_args(args)
     report = wlp_report(algebra)
-    for v in report.verdicts:
-        if not v.certified:
-            # an uncertified rank is only a lower bound: no verdict follows
-            raise UncertifiedRankError(
-                f"rank {v.rank} at degree {v.degree} not certified (only a lower bound)"
-            )
     if args.output == "json":
         print(json.dumps(report.to_json_dict()))
     else:
@@ -263,7 +255,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (CliError, ValueError, OSError, UncertifiedRankError) as exc:
+    except (ValueError, OSError, UncertifiedRankError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,6 +9,7 @@ top map into the zero space (surjective by convention).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 from . import ranks, reductions
 from .algebra import LinearForm, MonomialAlgebra, from_graph, hilbert_series, multiplication_map
@@ -27,7 +28,8 @@ class DegreeVerdict:
     injective: bool
     surjective: bool
     maximal_rank: bool
-    certified: bool = True
+    # every rank is certified: an uncertified one raises ranks.UncertifiedRankError
+    certified: ClassVar[bool] = True
 
     def to_json_dict(self) -> dict:
         return {
@@ -60,12 +62,11 @@ class WlpReport:
         }
 
 
-def _verdict(degree: int, h_source: int, h_target: int, rank: int, certified: bool) -> DegreeVerdict:
+def _verdict(degree: int, h_source: int, h_target: int, rank: int) -> DegreeVerdict:
     injective = rank == h_source
     surjective = rank == h_target
     return DegreeVerdict(
-        degree, h_source, h_target, rank, injective, surjective,
-        injective or surjective, certified,
+        degree, h_source, h_target, rank, injective, surjective, injective or surjective
     )
 
 
@@ -109,15 +110,13 @@ def wlp_report_with_form(a: MonomialAlgebra, ell: LinearForm) -> WlpReport:
         h_i = a.dim(i)
         h_next = a.dim(i + 1)
         if h_next == 0:
-            verdicts.append(_verdict(i, h_i, 0, 0, True))
+            verdicts.append(_verdict(i, h_i, 0, 0))
             continue
         if family is not None:
             rank = _oracle_rank(family, a, i)
-            verdicts.append(_verdict(i, h_i, h_next, rank, True))
         else:
-            gm = multiplication_map(a, ell, i, 1)
-            info = gm.rank_info
-            verdicts.append(_verdict(i, h_i, h_next, info.rank, info.certified))
+            rank = multiplication_map(a, ell, i, 1).rank
+        verdicts.append(_verdict(i, h_i, h_next, rank))
     failing = tuple(
         (v.degree, _failure_kind(v)) for v in verdicts if not v.maximal_rank
     )
@@ -141,7 +140,7 @@ def wlp_report(a: MonomialAlgebra) -> WlpReport:
             hilbert=hilbert_series(a),
             socle_degree=0,
             linear_form=None,
-            verdicts=(_verdict(0, 1, 0, 0, True),),
+            verdicts=(_verdict(0, 1, 0, 0),),
             has_wlp=True,
             failing_degrees=(),
             hilbert_unimodal=True,

@@ -66,6 +66,10 @@ class RankComputationError(RuntimeError):
     """Internal disagreement between independent rank routes."""
 
 
+class UncertifiedRankError(RuntimeError):
+    """An exact rank was asked for, but the engine only bounded it from below."""
+
+
 # ---------------------------------------------------------------------------
 # sparse column-major representation
 
@@ -888,6 +892,13 @@ class RankInfo:
     nnz: int
     crosscheck: dict = field(default_factory=dict)
 
+    def certified_rank(self, what: str) -> int:
+        """``rank``; an uncertified rank is only a lower bound, from which no
+        injective or surjective verdict follows, so it raises."""
+        if not self.certified:
+            raise UncertifiedRankError(f"{what} not certified (method {self.method})")
+        return self.rank
+
 
 _registry: list | None = None
 
@@ -906,8 +917,10 @@ def recording(registry: list):
 
 
 def exact_rank(matrix) -> int:
-    """Rank over the rationals.  See :func:`exact_rank_info`."""
-    return exact_rank_info(matrix).rank
+    """Rank over the rationals; raises :class:`UncertifiedRankError` where
+    :func:`exact_rank_info` returns only a lower bound."""
+    info = exact_rank_info(matrix)
+    return info.certified_rank(f"rank {info.rank} of a {info.shape[0]}x{info.shape[1]} matrix")
 
 
 def exact_rank_info(matrix, seed: int = 0) -> RankInfo:

@@ -35,10 +35,6 @@ from .graphs import path
 from .indpoly import independence_polynomial, independent_set_masks_by_size
 
 
-class UncertifiedRankError(RuntimeError):
-    """The rank engine could not certify a value the reduction relies on."""
-
-
 @lru_cache(maxsize=None)
 def path_dims(n: int) -> tuple[int, ...]:
     """Graded dimensions of the path algebra A(P_n); P_0 is the base field."""
@@ -85,15 +81,10 @@ def path_ell2_rank(n: int, j: int) -> int:
     if n <= 0 or j < 0:
         return 0
     dims = path_dims(n)
-    if j >= len(dims) or j + 2 >= len(dims):
+    if j + 2 >= len(dims):
         return 0
     mat = path_ell_matrix(n, j + 1).matmul(path_ell_matrix(n, j))
-    info = ranks.exact_rank_info(mat)
-    if not info.certified:
-        raise UncertifiedRankError(
-            f"ell^2 rank of P_{n} at degree {j} not certified (method {info.method})"
-        )
-    return info.rank
+    return ranks.exact_rank_info(mat).certified_rank(f"ell^2 rank of P_{n} at degree {j}")
 
 
 @lru_cache(maxsize=None)
@@ -106,7 +97,7 @@ def path_ell_rank(n: int, i: int) -> int:
     if n <= 0 or i < 0:
         return 0
     dims = path_dims(n)
-    if i >= len(dims) or i + 1 >= len(dims):
+    if i + 1 >= len(dims):
         return 0
     if i == 0:
         return 1
@@ -127,7 +118,7 @@ def lollipop_ell_rank(m: int, n: int, i: int) -> int:
     if i < 0:
         return 0
     alpha = _lollipop_socle(m, n)
-    if i >= alpha or i + 1 > alpha:
+    if i + 1 > alpha:
         return 0
     if i == 0:
         return 1

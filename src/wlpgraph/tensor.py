@@ -28,7 +28,6 @@ from .algebra import (
     monomial_divides,
     multiplication_map,
 )
-from .reductions import UncertifiedRankError
 
 
 class TensorAlgebra:
@@ -134,22 +133,10 @@ class BlockMatrixReport:
         }
 
 
-def _certified_rank(gm: GradedMap) -> int:
-    """The rank of ``gm``; an uncertified rank is only a lower bound, from
-    which no injective or surjective verdict follows, so it raises."""
-    info = gm.rank_info
-    if not info.certified:
-        raise UncertifiedRankError(
-            f"rank {info.rank} of the {info.shape[0]}x{info.shape[1]} multiplication map "
-            f"from degree {gm.source_degree} not certified (method {info.method})"
-        )
-    return info.rank
-
-
 def map_flags(a: MonomialAlgebra, ell: LinearForm, i: int, t: int) -> tuple[bool, bool]:
     """(injective, surjective) of ell^t from degree i, with zero-space conventions.
 
-    Raises :class:`UncertifiedRankError` when the rank is not certified.
+    Raises :class:`ranks.UncertifiedRankError` when the rank is not certified.
     """
     h_src = a.dim(i)
     h_tgt = a.dim(i + t)
@@ -157,7 +144,7 @@ def map_flags(a: MonomialAlgebra, ell: LinearForm, i: int, t: int) -> tuple[bool
         return True, h_tgt == 0
     if h_tgt == 0:
         return False, True
-    rank = _certified_rank(multiplication_map(a, ell, i, t))
+    rank = multiplication_map(a, ell, i, t).rank
     return rank == h_src, rank == h_tgt
 
 
@@ -191,10 +178,9 @@ def verdict_via_theorem(tb: TensorAlgebra, i: int) -> BlockMatrixReport:
             surjective=pred_surj,
             maximal_rank=pred_inj or pred_surj,
         )
-    gm = block_matrix(tb, i)
     h_src = tb.realized.dim(i)
     h_tgt = tb.realized.dim(i + 1)
-    rank = _certified_rank(gm)
+    rank = block_matrix(tb, i).rank
     direct = Verdict(
         injective=rank == h_src,
         surjective=rank == h_tgt,

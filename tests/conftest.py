@@ -8,7 +8,7 @@ from itertools import combinations
 
 import pytest
 
-from wlpgraph import custom
+from wlpgraph import custom, ranks, reductions
 
 
 def rank_by_fractions(rows) -> int:
@@ -65,3 +65,17 @@ def random_graph(rng: random.Random, max_vertices: int = 10):
 @pytest.fixture
 def rng():
     return random.Random(98765)
+
+
+@pytest.fixture
+def starved_engine(monkeypatch):
+    """Caps under which the engine certifies no rank-deficient core: Bareiss
+    never runs and no dense LU fits, so a deficient rank is a lower bound."""
+    monkeypatch.setattr(ranks, "DENSE_ELEMS_CAP", 100)
+    monkeypatch.setattr(ranks, "BAREISS_OPS_CAP", 0)
+    cached = (reductions.path_ell2_rank, reductions.path_ell_rank)
+    for fn in cached:
+        fn.cache_clear()
+    yield
+    for fn in cached:
+        fn.cache_clear()

@@ -4,7 +4,6 @@ import os
 
 import pytest
 
-from wlpgraph import ranks, reductions
 from wlpgraph.cli import main
 from wlpgraph.verify import check_path_modes
 
@@ -177,18 +176,11 @@ class TestJobs:
         assert code == 0 and json.loads(out)["total"] == 18
 
 
-@pytest.fixture
-def starved_engine(monkeypatch):
-    """Caps under which the engine certifies no rank-deficient core: Bareiss
-    never runs and no dense LU fits, so a deficient rank is a lower bound."""
-    monkeypatch.setattr(ranks, "DENSE_ELEMS_CAP", 100)
-    monkeypatch.setattr(ranks, "BAREISS_OPS_CAP", 0)
-    cached = (reductions.path_ell2_rank, reductions.path_ell_rank)
-    for fn in cached:
-        fn.cache_clear()
-    yield
-    for fn in cached:
-        fn.cache_clear()
+def test_bad_range_reason_reaches_stderr(capsys):
+    code = main(["classify", "--m", "0..3", "--n", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "bad range '0..3'" in captured.err
 
 
 class TestUncertified:

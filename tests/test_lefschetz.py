@@ -4,12 +4,15 @@ from wlpgraph import (
     LinearForm,
     classify_lollipop,
     complete,
+    custom,
+    exact_rank,
     expected_lollipop_wlp,
     failure_localization,
     from_generators,
     from_graph,
     lollipop,
     mode_of_path,
+    multiplication_map,
     path,
     tensor_with_squarefree_block,
     verdict_via_theorem,
@@ -17,6 +20,8 @@ from wlpgraph import (
     wlp_report_with_form,
 )
 import wlpgraph.lefschetz as lefschetz_mod
+from wlpgraph import ranks
+from wlpgraph.ranks import UncertifiedRankError
 
 
 class TestWlpReport:
@@ -227,3 +232,23 @@ class TestTensorConsistency:
         report = wlp_report(from_graph(lollipop(m, n)))
         kinds = dict(report.failing_degrees)
         assert kinds.get(lam + 1) in ("surjectivity", "both")
+
+
+@pytest.mark.parametrize(
+    "entry", ["wlp_report", "GradedMap.rank", "algebra.exact_rank", "ranks.exact_rank"]
+)
+def test_uncertified_rank_raises_at_every_entry(starved_engine, entry):
+    # C_12 matches no structured family, so its degree-3 map goes to the
+    # engine, which under these caps only bounds its rank below by 102: no
+    # entry point may turn that bound into a rank or a WLP verdict
+    algebra = from_graph(custom(12, [(v, (v + 1) % 12) for v in range(12)]))
+    gm = multiplication_map(algebra, LinearForm.all_ones(12), 3)
+    calls = {
+        "wlp_report": lambda: wlp_report(algebra),
+        "GradedMap.rank": lambda: gm.rank,
+        "algebra.exact_rank": lambda: exact_rank(gm),
+        "ranks.exact_rank": lambda: ranks.exact_rank(gm.matrix),
+    }
+    with pytest.raises(UncertifiedRankError, match=r"^rank 102 .*not certified"):
+        calls[entry]()
+    assert gm.rank_info.rank == 102 and not gm.rank_info.certified

@@ -14,8 +14,7 @@ from wlpgraph import (
     tensor_with_squarefree_block,
     verdict_via_theorem,
 )
-from wlpgraph import ranks
-from wlpgraph.reductions import UncertifiedRankError
+from wlpgraph.ranks import UncertifiedRankError
 from wlpgraph.tensor import map_flags
 from wlpgraph.verify import _expected_block_layout, random_artinian_algebra
 
@@ -185,13 +184,10 @@ class TestFailureWitness:
 
 
 @pytest.mark.parametrize("via_verdict", [False, True])
-def test_uncertified_rank_raises(monkeypatch, via_verdict):
-    # with no dense image and no Bareiss allowed, a deficient core keeps only
-    # its sparse rank mod p, a lower bound (the first is a 22x22 map of rank
-    # 21): the flags and verdicts built on it must raise instead of reading
-    # it as a definite injective/surjective answer
-    monkeypatch.setattr(ranks, "DENSE_ELEMS_CAP", 100)
-    monkeypatch.setattr(ranks, "BAREISS_OPS_CAP", 0)
+def test_uncertified_rank_raises(starved_engine, via_verdict):
+    # a deficient core keeps only its sparse rank mod p, a lower bound (the
+    # first is a 22x22 map of rank 21): the flags and verdicts built on it
+    # must raise instead of reading it as a definite injective/surjective answer
     rng = random.Random(7)
     with pytest.raises(UncertifiedRankError, match="not certified"):
         for _ in range(30):

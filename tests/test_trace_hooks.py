@@ -1,24 +1,30 @@
-"""The benchmark's tracer patches library functions by name; these tests keep
-those names resolvable, so a refactor cannot silently break traced runs."""
+"""The benchmark's tracer patches library functions by name, and its
+workloads read library results by attribute; these tests keep both working,
+so a refactor cannot silently break benchmark runs."""
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
+
+import pytest
 
 from wlpgraph.cli import main
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("wlpgraph_bench_tracer", TRACER_PATH)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"wlpgraph_bench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    # registered first: dataclasses look their module up while the file runs
+    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
 
 
 def test_traced_names_resolve():
-    tracer = _load_tracer()
+    tracer = _load("tracer")
     for span, module, attr in tracer.TRACED:
         owner = importlib.import_module(f"wlpgraph.{module}")
         for part in attr.split("."):
@@ -28,7 +34,7 @@ def test_traced_names_resolve():
 
 
 def test_classify_spans_recorded(capsys):
-    tracer = _load_tracer().Tracer()
+    tracer = _load("tracer").Tracer()
     tracer.install()
     try:
         assert main(["classify", "--m", "1..2", "--n", "3..4"]) == 0
@@ -39,3 +45,11 @@ def test_classify_spans_recorded(capsys):
     assert tracer.names.count("cli.classify_column") == 2
     assert {"cli.cmd_classify", "lefschetz.wlp_report", "graphs.lollipop"} <= names
     assert all(p >= 0 for n, p in zip(tracer.names, tracer.parents) if n != "cli.cmd_classify")
+
+
+@pytest.mark.parametrize("workload", ["lollipop-grid", "cycle-wlp", "tensor-blockcheck", "verify-audit"])
+def test_workload_gates_pass(workload):
+    make_inputs, execute = _load("workloads").WORKLOADS[workload]
+    outcome = execute(make_inputs(7, "tiny"))
+    assert outcome.attempted > 0
+    assert outcome.failed == 0, outcome.errors
