@@ -68,8 +68,8 @@ class MonomialAlgebra:
     """Artinian quotient of a polynomial ring by a monomial ideal.
 
     Immutable once built; the lazily materialized caches (bases, per-degree
-    index) are idempotent, so a concurrent first access may compute twice but
-    never observes torn state.
+    index, ranks of multiplication maps) are idempotent, so a concurrent first
+    access may compute twice but never observes torn state.
     """
 
     def __init__(self, num_vars, generators, bases=None, var_labels=None, graph=None,
@@ -89,6 +89,7 @@ class MonomialAlgebra:
             self.dims = tuple(len(level) for level in _mask_groups)
         self.socle_degree = len(self.dims) - 1
         self._index_cache: dict[int, dict[Monomial, int]] = {}
+        self._rank_cache: dict[tuple[tuple[int, ...], int, int], int] = {}
 
     @cached_property
     def bases(self) -> tuple[tuple[Monomial, ...], ...]:
@@ -116,6 +117,19 @@ class MonomialAlgebra:
             idx = {m: k for k, m in enumerate(self.basis(degree))}
             self._index_cache[degree] = idx
         return idx
+
+    def map_rank(self, ell: LinearForm, i: int, t: int = 1) -> int:
+        """``multiplication_map(self, ell, i, t).rank``, memoized per algebra.
+
+        Only the integer is kept, not the matrix.  An uncertified rank raises
+        :class:`ranks.UncertifiedRankError` and is not stored.
+        """
+        key = (ell.coefficients, i, t)
+        rank = self._rank_cache.get(key)
+        if rank is None:
+            rank = multiplication_map(self, ell, i, t).rank
+            self._rank_cache[key] = rank
+        return rank
 
     def __repr__(self):
         return (

@@ -137,7 +137,8 @@ def cmd_blockcheck(args) -> int:
         algebras = [_algebra_from_args(args)]
     else:
         rng = _random.Random(args.seed)
-        algebras = [random_artinian_algebra(rng) for _ in range(args.random)]
+        # drawn lazily, so each algebra and its caches are freed after its blocks
+        algebras = (random_artinian_algebra(rng) for _ in range(args.random))
     ok = True
     for idx, algebra in enumerate(algebras):
         for n in args.block_vars:

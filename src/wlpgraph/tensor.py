@@ -20,14 +20,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .algebra import (
     GradedMap,
     LinearForm,
     MonomialAlgebra,
     Monomial,
-    monomial_divides,
     multiplication_map,
 )
+
+# elements of one boolean (monomial, generator, variable) comparison block
+_CHECK_ELEMS = 1 << 20
 
 
 class TensorAlgebra:
@@ -73,11 +77,28 @@ def _realize(n: int, inner: MonomialAlgebra) -> MonomialAlgebra:
         level.extend(_embed(m, n) for m in inner.basis(i))
         bases.append(level)
     bases.append([_with_x(j, m, n) for j in range(n) for m in inner.basis(d_top)])
-    for level in bases:
-        for m in level:
-            assert not any(monomial_divides(g, m) for g in gens)
+    _check_standard([m for level in bases for m in level], gens)
     labels = tuple(f"x{j + 1}" for j in range(n)) + tuple(inner.var_labels)
     return MonomialAlgebra(num_vars, gens, bases=bases, var_labels=labels)
+
+
+def _check_standard(monomials: list[Monomial], gens: list[Monomial]) -> None:
+    """Raise AssertionError unless no generator divides any of the monomials.
+
+    g divides m exactly when m >= g in every coordinate; the comparison runs
+    over blocks of monomials so that its boolean array stays bounded.
+    """
+    g = np.array(gens, dtype=np.int64)
+    step = max(1, _CHECK_ELEMS // g.size)
+    for start in range(0, len(monomials), step):
+        m = np.array(monomials[start:start + step], dtype=np.int64)
+        hit = (m[:, None, :] >= g[None]).all(2)
+        if hit.any():
+            k, j = np.argwhere(hit)[0]
+            raise AssertionError(
+                f"realised basis monomial {monomials[start + k]} is divisible "
+                f"by generator {gens[j]}"
+            )
 
 
 def tensor_with_squarefree_block(n: int, a: MonomialAlgebra) -> TensorAlgebra:
@@ -144,7 +165,7 @@ def map_flags(a: MonomialAlgebra, ell: LinearForm, i: int, t: int) -> tuple[bool
         return True, h_tgt == 0
     if h_tgt == 0:
         return False, True
-    rank = multiplication_map(a, ell, i, t).rank
+    rank = a.map_rank(ell, i, t)
     return rank == h_src, rank == h_tgt
 
 

@@ -4,7 +4,9 @@ from wlpgraph import (
     EmptyGeneratorsError,
     LinearForm,
     NotArtinianError,
+    UncertifiedRankError,
     complete,
+    custom,
     exact_rank,
     from_generators,
     from_graph,
@@ -16,6 +18,7 @@ from wlpgraph import (
     path,
     rank_modular,
 )
+from wlpgraph import algebra as algebra_module
 from wlpgraph.ranks import rank_bareiss
 
 from conftest import random_graph
@@ -151,6 +154,45 @@ def _direct_power_matrix(a, ell, i, t):
             if row is not None:
                 out[row][col] += coeff
     return out
+
+
+def _spy_builds(monkeypatch) -> list:
+    real = algebra_module.multiplication_map
+    built = []
+
+    def spy(a, ell, i, t=1):
+        built.append((i, t))
+        return real(a, ell, i, t)
+
+    monkeypatch.setattr(algebra_module, "multiplication_map", spy)
+    return built
+
+
+class TestMapRank:
+    def test_memoized_per_algebra(self, monkeypatch):
+        a = from_graph(lollipop(3, 4))
+        ell = LinearForm.all_ones(7)
+        want = [multiplication_map(a, ell, i, t).rank for i in range(3) for t in (1, 2)]
+        built = _spy_builds(monkeypatch)
+        for _ in range(2):
+            assert [a.map_rank(ell, i, t) for i in range(3) for t in (1, 2)] == want
+        assert built == [(i, t) for i in range(3) for t in (1, 2)]
+        other = LinearForm((1,) * 6 + (2,))  # a new form is a new key
+        assert a.map_rank(other, 1) == multiplication_map(a, other, 1).rank
+        assert a.map_rank(ell, 1) == a.map_rank(ell, 1, 1) and len(built) == 7
+        from_graph(lollipop(3, 4)).map_rank(ell, 0)  # another instance has its own memo
+        assert len(built) == 8
+
+    def test_uncertified_is_not_stored(self, starved_engine, monkeypatch):
+        # under these caps the degree-3 map of C_12 has only a lower bound:
+        # each call re-ranks it and raises, and no bound is kept as a rank
+        a = from_graph(custom(12, [(v, (v + 1) % 12) for v in range(12)]))
+        ell = LinearForm.all_ones(12)
+        built = _spy_builds(monkeypatch)
+        for _ in range(2):
+            with pytest.raises(UncertifiedRankError, match=r"^rank 102 at degree 3 not certified"):
+                a.map_rank(ell, 3)
+        assert built == [(3, 1), (3, 1)]
 
 
 class TestExactRank:

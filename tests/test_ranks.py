@@ -514,6 +514,30 @@ class TestExactRankInfo:
         assert first["lu"].p == p and len(vecs_p) < shape[1] - k
         assert second["lu"].p != p and len(vecs) == shape[1] - k - 1
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(2, 40), st.integers(2, 40), st.data())
+    def test_unlucky_prime_property(self, nrows, ncols, data):
+        # the construction above at small sizes, with Bareiss switched off so
+        # that the modular route runs: modulo the first prime p the matrix is
+        # a b, of rank at most k, while over Q it is a b + p u w^T
+        k = data.draw(st.integers(1, min(nrows, ncols) - 1), label="k")
+        rng2 = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        shape = (nrows, ncols)
+        p = _engine_primes(shape, 0, 1 << 30)[0]
+        a = rng2.integers(-2, 3, size=(nrows, k))
+        b = rng2.integers(-2, 3, size=(k, ncols))
+        u = rng2.choice([-2, -1, 1, 2], size=(nrows, 1))
+        w = rng2.choice([-2, -1, 1, 2], size=(1, ncols))
+        u[0, 0] = 2  # some |entry| is near 2p, above every small prime
+        sp = SparseCols.from_dense((a @ b + p * (u @ w)).tolist())
+        assert _engine_primes(shape, 0, sp.max_abs())[0] == p
+        assert _peel(sp)[0].nrows == nrows  # no zero entry, so nothing peels
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ranks, "BAREISS_OPS_CAP", 0)
+            info = exact_rank_info(sp)
+        assert info.certified and info.method.startswith("peel+modular")
+        assert info.rank == rank_bareiss(sp)
+
     def test_dense_cap_respected(self, monkeypatch):
         # over the cap there is no dense LU, hence no kernel certificate: the
         # sparse rank mod p comes back as an uncertified lower bound

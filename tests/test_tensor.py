@@ -1,9 +1,14 @@
+import hashlib
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
 from wlpgraph import (
     LinearForm,
+    MonomialAlgebra,
     block_matrix,
     from_generators,
     from_graph,
@@ -14,6 +19,9 @@ from wlpgraph import (
     tensor_with_squarefree_block,
     verdict_via_theorem,
 )
+from wlpgraph import algebra as algebra_module
+from wlpgraph import cli, tensor
+from wlpgraph.algebra import monomial_divides
 from wlpgraph.ranks import UncertifiedRankError
 from wlpgraph.tensor import map_flags
 from wlpgraph.verify import _expected_block_layout, random_artinian_algebra
@@ -70,6 +78,46 @@ class TestTensorConstruction:
     def test_n_zero_rejected(self):
         with pytest.raises(ValueError):
             tensor_with_squarefree_block(0, ky_mod(2))
+
+    def test_forged_basis_rejected(self):
+        # a basis claiming y^2 is standard although y^2 generates the ideal:
+        # the realised monomial y^2 is divisible by the embedded generator
+        forged = MonomialAlgebra(1, [(2,)], bases=[[(0,)], [(1,)], [(2,)]])
+        with pytest.raises(AssertionError,
+                           match=r"monomial \(0, 2\) is divisible by generator \(0, 2\)"):
+            tensor_with_squarefree_block(1, forged)
+
+    @pytest.mark.parametrize("block_elems", [1 << 20, 7])
+    def test_standard_check_matches_loop(self, monkeypatch, block_elems):
+        # the vectorized check against the per-monomial divisibility loop,
+        # also when the monomials are compared in many small blocks
+        monkeypatch.setattr(tensor, "_CHECK_ELEMS", block_elems)
+        rng = random.Random(4)
+        for _ in range(300):
+            nv = rng.randint(1, 4)
+            gens = [tuple(rng.randint(0, 3) for _ in range(nv)) for _ in range(rng.randint(1, 4))]
+            mons = [tuple(rng.randint(0, 3) for _ in range(nv)) for _ in range(rng.randint(1, 12))]
+            first = next(((m, g) for m in mons for g in gens if monomial_divides(g, m)), None)
+            if first is None:
+                tensor._check_standard(mons, gens)
+            else:
+                with pytest.raises(AssertionError) as err:
+                    tensor._check_standard(mons, gens)
+                assert str(err.value) == (f"realised basis monomial {first[0]} is divisible "
+                                          f"by generator {first[1]}")
+
+    def test_forged_basis_rejected_under_optimization(self):
+        # the check is an explicit raise, so python -O does not drop it
+        code = ("from wlpgraph import MonomialAlgebra, tensor_with_squarefree_block\n"
+                "tensor_with_squarefree_block(1, MonomialAlgebra(1, [(2,)], "
+                "bases=[[(0,)], [(1,)], [(2,)]]))")
+        src = os.path.dirname(os.path.dirname(tensor.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode != 0
+        assert "AssertionError: realised basis monomial (0, 2)" in proc.stderr
 
 
 class TestBlockMatrix:
@@ -156,6 +204,27 @@ class TestVerdicts:
                 for i in range(algebra.socle_degree + 1):
                     assert verdict_via_theorem(tb, i).agree
 
+    def test_inner_maps_built_once_across_block_sizes(self, monkeypatch):
+        # the three block sizes share the inner ranks: each (degree, power)
+        # inner map is built once, not once per n
+        inner = from_graph(path(6))  # dims (1, 6, 10, 4)
+        real = algebra_module.multiplication_map
+        built = []
+
+        def spy(a, ell, i, t=1):
+            built.append((a, i, t))
+            return real(a, ell, i, t)
+
+        monkeypatch.setattr(algebra_module, "multiplication_map", spy)
+        monkeypatch.setattr(tensor, "multiplication_map", spy)
+        for n in (1, 2, 3):
+            tb = tensor_with_squarefree_block(n, inner)
+            for i in range(inner.socle_degree + 1):
+                assert verdict_via_theorem(tb, i).agree
+        inner_maps = sorted((i, t) for a, i, t in built if a is inner)
+        assert inner_maps == [(0, 1), (0, 2), (1, 1), (1, 2), (2, 1)]
+        assert sum(1 for a, _, _ in built if a is not inner) == 3 * 4  # block matrices
+
     def test_report_json(self):
         tb = tensor_with_squarefree_block(1, ky_mod(2))
         d = verdict_via_theorem(tb, 0).to_json_dict()
@@ -200,3 +269,14 @@ def test_uncertified_rank_raises(starved_engine, via_verdict):
                         verdict_via_theorem(tb, i)
                     else:
                         map_flags(tb.realized, ell, i, 1)
+
+
+def test_blockcheck_json_frozen(capsys):
+    # sha256 of the JSON printed for 30 random algebras at seed 2, captured
+    # before the inner ranks were memoized and the realisation check vectorized
+    assert cli.main(["--output", "json", "--seed", "2", "blockcheck", "--random", "30",
+                     "--block-vars", "1", "2", "3"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "10440a719d478cab3423ea3f943009efc80b566154884e23025897a4ce3f3a3e"
+    )
