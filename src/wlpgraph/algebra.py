@@ -8,18 +8,20 @@ variable, which is exactly the Artinian condition for monomial ideals.
 Basis order is graded, with each degree sorted in the lexicographic term
 order with x_1 > x_2 > ... (exponent tuples descending); for algebras built
 from graphs this makes the degree-d basis correspond, position by position,
-to the size-d independent sets in their enumeration order.
+to the size-d independent sets in their enumeration order.  A graph algebra
+takes its graded dimensions from the independence polynomial and enumerates
+the independent sets only when its bases are first read.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from . import ranks
 from .graphs import Graph
-from .indpoly import IntPolynomial, independent_set_masks_by_size
+from .indpoly import IntPolynomial, independence_polynomial, independent_set_masks_by_size
 
 Monomial = tuple  # exponent tuple, one entry per variable
 
@@ -55,9 +57,11 @@ class LinearForm:
         if not any(self.coefficients):
             raise ValueError("linear form must be nonzero")
 
-    @classmethod
-    def all_ones(cls, num_vars: int) -> "LinearForm":
-        return cls((1,) * num_vars)
+    @staticmethod
+    @lru_cache(maxsize=None)
+    def all_ones(num_vars: int) -> "LinearForm":
+        """x_1 + ... + x_n; one shared (immutable) instance per arity."""
+        return LinearForm((1,) * num_vars)
 
     @property
     def is_all_ones(self) -> bool:
@@ -73,20 +77,20 @@ class MonomialAlgebra:
     """
 
     def __init__(self, num_vars, generators, bases=None, var_labels=None, graph=None,
-                 _mask_groups=None):
+                 dims=None):
         self.num_vars = num_vars
         self.generators = tuple(tuple(g) for g in generators)
         self.var_labels = tuple(var_labels) if var_labels else tuple(
             f"x{j + 1}" for j in range(num_vars)
         )
         self.graph = graph
-        self._mask_groups = _mask_groups
         self._explicit_bases = None
         if bases is not None:
             self._explicit_bases = tuple(tuple(tuple(m) for m in level) for level in bases)
             self.dims = tuple(len(level) for level in self._explicit_bases)
         else:
-            self.dims = tuple(len(level) for level in _mask_groups)
+            # a graph algebra: its bases are the graph's independent sets
+            self.dims = tuple(dims)
         self.socle_degree = len(self.dims) - 1
         self._index_cache: dict[int, dict[Monomial, int]] = {}
         self._rank_cache: dict[tuple[tuple[int, ...], int, int], int] = {}
@@ -95,9 +99,15 @@ class MonomialAlgebra:
     def bases(self) -> tuple[tuple[Monomial, ...], ...]:
         if self._explicit_bases is not None:
             return self._explicit_bases
+        groups = independent_set_masks_by_size(self.graph)
+        sizes = tuple(len(level) for level in groups)
+        if sizes != self.dims:
+            raise RuntimeError(
+                f"independent sets by size {list(sizes)} disagree with the "
+                f"graded dimensions {list(self.dims)}"
+            )
         return tuple(
-            tuple(_mask_to_monomial(m, self.num_vars) for m in level)
-            for level in self._mask_groups
+            tuple(_mask_to_monomial(m, self.num_vars) for m in level) for level in groups
         )
 
     def basis(self, degree: int) -> tuple[Monomial, ...]:
@@ -142,15 +152,17 @@ def from_graph(g: Graph) -> MonomialAlgebra:
     """A(G): kill all variable squares and all edge products x_u x_v.
 
     The degree-d basis corresponds bijectively, in order, to the size-d
-    independent sets of g.
+    independent sets of g.  The dimensions come from the independence
+    polynomial; the sets are enumerated on the first read of ``bases``,
+    which checks their counts against it.
     """
     gens = [tuple(2 if v == w else 0 for v in range(g.vertex_count)) for w in range(g.vertex_count)]
     for e in sorted(tuple(sorted(edge)) for edge in g.edges):
         gens.append(tuple(1 if v in e else 0 for v in range(g.vertex_count)))
     labels = tuple(g.label(v) for v in range(g.vertex_count))
-    groups = independent_set_masks_by_size(g)
     return MonomialAlgebra(
-        g.vertex_count, gens, var_labels=labels, graph=g, _mask_groups=groups
+        g.vertex_count, gens, var_labels=labels, graph=g,
+        dims=independence_polynomial(g).coeffs,
     )
 
 

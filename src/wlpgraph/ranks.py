@@ -55,7 +55,7 @@ _REDUCE_BLOCK = 1 << 16
 
 # Route-selection caps (calibrated on this machine; correctness never depends
 # on them, only which exact route runs).
-BAREISS_OPS_CAP = 2_500_000  # rows*cols*min budget for Bareiss (so min dim <= 135)
+BAREISS_OPS_CAP = 1_000_000  # rows*cols*min budget for Bareiss (so min dim <= 100)
 DENSE_ELEMS_CAP = 70_000_000  # dense float64 core budget (~560 MB)
 DIXON_MAX_STEPS = 700
 

@@ -19,6 +19,10 @@ from wlpgraph import (
     rank_modular,
 )
 from wlpgraph import algebra as algebra_module
+from wlpgraph import indpoly as indpoly_module
+from wlpgraph import reductions as reductions_module
+from wlpgraph.indpoly import IntPolynomial
+from wlpgraph.lefschetz import classify_lollipop
 from wlpgraph.ranks import rank_bareiss
 
 from conftest import random_graph
@@ -50,6 +54,38 @@ class TestFromGraph:
     def test_generators(self):
         a = from_graph(path(2))
         assert (2, 0) in a.generators and (0, 2) in a.generators and (1, 1) in a.generators
+
+    def test_forged_dims_raise_on_bases(self, monkeypatch):
+        # the dimensions come from the independence polynomial; the first
+        # read of the bases enumerates the sets and checks their counts
+        monkeypatch.setattr(algebra_module, "independence_polynomial",
+                            lambda g: IntPolynomial((1, 5, 6, 2)))
+        a = from_graph(path(5))  # true dims (1, 5, 6, 1)
+        assert a.dims == (1, 5, 6, 2)
+        with pytest.raises(RuntimeError, match=r"\[1, 5, 6, 1\] disagree .* \[1, 5, 6, 2\]"):
+            a.bases
+
+    def test_lollipop_classification_enumerates_no_lollipop(self, monkeypatch):
+        # the ranks come from the path reductions, so the lollipop's own
+        # independent sets are never listed
+        seen = []
+        real = indpoly_module.independent_set_masks_by_size
+
+        def spy(g):
+            seen.append(g)
+            return real(g)
+
+        for module in (indpoly_module, algebra_module, reductions_module):
+            monkeypatch.setattr(module, "independent_set_masks_by_size", spy)
+        g = lollipop(3, 9)
+
+        def lollipop_listed():
+            return any(h.vertex_count == g.vertex_count and h.edges == g.edges for h in seen)
+
+        assert not classify_lollipop(3, 9).report.has_wlp
+        assert not lollipop_listed()
+        from_graph(g).bases  # the spy sees the enumeration where one happens
+        assert lollipop_listed()
 
 
 class TestFromGenerators:
@@ -253,3 +289,4 @@ def test_linear_form_validation():
     with pytest.raises(ValueError):
         LinearForm((0, 0))
     assert LinearForm.all_ones(3).is_all_ones
+    assert LinearForm.all_ones(3) is LinearForm.all_ones(3)

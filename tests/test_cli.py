@@ -209,3 +209,25 @@ def test_corrupted_mode_table_fails_check():
     wrong = (9,) * 20
     result = check_path_modes(table=wrong)
     assert not result.passed
+
+
+@pytest.mark.parametrize("forged", ["independence_polynomial", "independent_set_masks_by_size"])
+def test_forged_route_fails_identity_check(monkeypatch, forged):
+    # negative control: the Hilbert series (the polynomial) and the
+    # enumerated basis are separate routes, and each is compared with the
+    # brute force; a forged one fails the check instead of passing silently
+    from wlpgraph import algebra
+    from wlpgraph.indpoly import IntPolynomial
+    from wlpgraph.verify import check_hilbert_independence_identity
+
+    real = getattr(algebra, forged)
+
+    def fake(g):
+        if forged == "independence_polynomial":
+            return IntPolynomial(real(g).coeffs + (1,))
+        return [level[1:] for level in real(g)]
+
+    assert check_hilbert_independence_identity(count=5).passed
+    monkeypatch.setattr(algebra, forged, fake)
+    result = check_hilbert_independence_identity(count=5)
+    assert not result.passed and result.detail == "5 mismatches"

@@ -101,3 +101,61 @@ def test_ell2_rank_certified_values():
     r = reductions.path_ell2_rank(13, 3)
     assert r < min(mat.nrows, mat.ncols)
     assert r == ranks.rank_modular(mat, seed=1) == ranks.rank_bareiss(mat)
+
+
+def _reversal_orbits(n, k):
+    """(all orbits, non-fixed orbits) of the size-k independent sets of P_n
+    under the reversal v -> n - 1 - v, counted from brute-force enumeration."""
+    from conftest import independent_sets_brute
+
+    sets = independent_sets_brute(path(n), k)
+    fixed = sum(1 for s in sets if s == frozenset(n - 1 - v for v in s))
+    return (len(sets) + fixed) // 2, (len(sets) - fixed) // 2
+
+
+@pytest.mark.parametrize("n", range(3, 15))  # P_1, P_2 have no ell^2 map
+def test_reflection_blocks_split_the_rank(n):
+    dims = reductions.path_dims(n)
+    for j in range(len(dims) - 2):
+        even, odd = reductions.path_ell2_blocks(n, j)
+        src_all, src_moved = _reversal_orbits(n, j)
+        tgt_all, tgt_moved = _reversal_orbits(n, j + 2)
+        assert (even.nrows, even.ncols) == (tgt_all, src_all), (n, j)
+        assert (odd.nrows, odd.ncols) == (tgt_moved, src_moved), (n, j)
+        full = reductions.path_ell_matrix(n, j + 1).matmul(reductions.path_ell_matrix(n, j))
+        assert ranks.rank_bareiss(even) + ranks.rank_bareiss(odd) == ranks.rank_bareiss(full), (n, j)
+
+
+@pytest.fixture
+def fresh_ell2_cache():
+    reductions.path_ell2_rank.cache_clear()
+    yield
+    reductions.path_ell2_rank.cache_clear()
+
+
+def test_wrong_odd_block_raises_under_recording(monkeypatch, fresh_ell2_cache):
+    # P_10 from degree 2: 35x36, small enough for the unsplit cross-check;
+    # the forged odd block keeps its shape and only its first column
+    blocks = reductions.path_ell2_blocks
+
+    def wrong(n, j):
+        even, odd = blocks(n, j)
+        return even, ranks.SparseCols(odd.nrows, odd.ncols, odd.cols[:1] + [[]] * (odd.ncols - 1))
+
+    assert ranks.rank_bareiss(blocks(10, 2)[1]) == 14
+    assert ranks.rank_bareiss(wrong(10, 2)[1]) == 1
+    monkeypatch.setattr(reductions, "path_ell2_blocks", wrong)
+    with ranks.recording([]):
+        with pytest.raises(ranks.RankComputationError, match="P_10 at degree 2"):
+            reductions.path_ell2_rank(10, 2)
+
+
+def test_split_rank_is_recorded_and_crosschecked(fresh_ell2_cache):
+    registry = []
+    with ranks.recording(registry):
+        r = reductions.path_ell2_rank(10, 2)
+    full = reductions.path_ell_matrix(10, 3).matmul(reductions.path_ell_matrix(10, 2))
+    assert r == ranks.rank_bareiss(full)
+    # the two blocks, then the unsplit matrix of the cross-check
+    assert [info.shape for info in registry] == [(19, 20), (16, 16), (35, 36)]
+    assert all(info.certified and info.crosscheck for info in registry)

@@ -225,6 +225,20 @@ class TestVerdicts:
         assert inner_maps == [(0, 1), (0, 2), (1, 1), (1, 2), (2, 1)]
         assert sum(1 for a, _, _ in built if a is not inner) == 3 * 4  # block matrices
 
+    def test_all_ones_forms_shared(self, monkeypatch):
+        # one all-ones form per arity serves every verdict and block matrix
+        inner = from_graph(path(5))
+        tb = tensor_with_squarefree_block(2, inner)
+        verdict_via_theorem(tb, 1)
+        made = []
+        real = LinearForm.__post_init__
+        monkeypatch.setattr(LinearForm, "__post_init__",
+                            lambda self: (made.append(self), real(self))[1])
+        for i in range(inner.socle_degree + 1):
+            assert verdict_via_theorem(tb, i).agree
+        assert made == []
+        assert block_matrix(tb, 1).form is LinearForm.all_ones(7)
+
     def test_report_json(self):
         tb = tensor_with_squarefree_block(1, ky_mod(2))
         d = verdict_via_theorem(tb, 0).to_json_dict()
