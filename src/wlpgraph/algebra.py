@@ -10,7 +10,9 @@ order with x_1 > x_2 > ... (exponent tuples descending); for algebras built
 from graphs this makes the degree-d basis correspond, position by position,
 to the size-d independent sets in their enumeration order.  A graph algebra
 takes its graded dimensions from the independence polynomial and enumerates
-the independent sets only when its bases are first read.
+the independent sets, as vertex bit masks, only when its basis is first
+needed; its multiplication maps are read off the masks, and the exponent
+tuples of ``bases`` are built from them on demand.
 """
 
 from __future__ import annotations
@@ -42,8 +44,15 @@ def monomial_divides(d: Monomial, m: Monomial) -> bool:
     return all(a <= b for a, b in zip(d, m))
 
 
+# the bits of each byte value, lowest first
+_BYTE_BITS = tuple(tuple((x >> k) & 1 for k in range(8)) for x in range(256))
+
+
 def _mask_to_monomial(mask: int, num_vars: int) -> Monomial:
-    return tuple((mask >> v) & 1 for v in range(num_vars))
+    out = _BYTE_BITS[mask & 255]
+    for shift in range(8, num_vars, 8):
+        out += _BYTE_BITS[(mask >> shift) & 255]
+    return out[:num_vars]
 
 
 @dataclass(frozen=True)
@@ -96,9 +105,9 @@ class MonomialAlgebra:
         self._rank_cache: dict[tuple[tuple[int, ...], int, int], int] = {}
 
     @cached_property
-    def bases(self) -> tuple[tuple[Monomial, ...], ...]:
-        if self._explicit_bases is not None:
-            return self._explicit_bases
+    def masks(self) -> tuple[tuple[int, ...], ...]:
+        """A graph algebra's basis as vertex bit masks, per degree, in basis
+        order; the counts are checked against ``dims`` here, once."""
         groups = independent_set_masks_by_size(self.graph)
         sizes = tuple(len(level) for level in groups)
         if sizes != self.dims:
@@ -106,8 +115,14 @@ class MonomialAlgebra:
                 f"independent sets by size {list(sizes)} disagree with the "
                 f"graded dimensions {list(self.dims)}"
             )
+        return tuple(tuple(level) for level in groups)
+
+    @cached_property
+    def bases(self) -> tuple[tuple[Monomial, ...], ...]:
+        if self._explicit_bases is not None:
+            return self._explicit_bases
         return tuple(
-            tuple(_mask_to_monomial(m, self.num_vars) for m in level) for level in groups
+            tuple(_mask_to_monomial(m, self.num_vars) for m in level) for level in self.masks
         )
 
     def basis(self, degree: int) -> tuple[Monomial, ...]:
@@ -295,6 +310,8 @@ def multiplication_map(a: MonomialAlgebra, ell: LinearForm, i: int, t: int = 1) 
 
 
 def _single_step_matrix(a: MonomialAlgebra, ell: LinearForm, i: int) -> ranks.SparseCols:
+    if a.graph is not None:
+        return _graph_step_matrix(a, ell, i)
     src = a.basis(i)
     tgt_index = a.basis_index(i + 1) if i + 1 <= a.socle_degree else {}
     nrows = a.dim(i + 1)
@@ -312,6 +329,25 @@ def _single_step_matrix(a: MonomialAlgebra, ell: LinearForm, i: int) -> ranks.Sp
         col.sort()
         cols.append(col)
     return ranks.SparseCols(nrows, len(src), cols)
+
+
+def _graph_step_matrix(a: MonomialAlgebra, ell: LinearForm, i: int) -> ranks.SparseCols:
+    """The same matrix for a graph algebra, read off its masks: x_j takes
+    the set s to s | {j}, or to zero where that is no basis element."""
+    top = a.socle_degree
+    src = a.masks[i] if 0 <= i <= top else ()
+    tgt_index = {m: r for r, m in enumerate(a.masks[i + 1])} if 0 <= i + 1 <= top else {}
+    terms = [(1 << j, c) for j, c in enumerate(ell.coefficients) if c]
+    cols = []
+    for s in src:
+        col = []
+        for bit, c in terms:
+            row = tgt_index.get(s | bit) if not s & bit else None
+            if row is not None:
+                col.append((row, c))
+        col.sort()
+        cols.append(col)
+    return ranks.SparseCols(a.dim(i + 1), len(src), cols)
 
 
 def exact_rank(matrix) -> int:

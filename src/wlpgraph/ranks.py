@@ -901,19 +901,35 @@ class RankInfo:
 
 
 _registry: list | None = None
+_recorded_digests: set | None = None  # of the matrices recorded into _registry
 
 
 @contextmanager
 def recording(registry: list):
     """Route every rank computation into ``registry`` and cross-check the
     Bareiss and >2^30 modular engines on small enough matrices."""
-    global _registry
-    prev = _registry
-    _registry = registry
+    global _registry, _recorded_digests
+    prev = _registry, _recorded_digests
+    _registry, _recorded_digests = registry, set()
     try:
         yield registry
     finally:
-        _registry = prev
+        _registry, _recorded_digests = prev
+
+
+def distinct_recorded_matrices(registry: list) -> int | None:
+    """How many distinct matrices, keyed by shape and entries, the innermost
+    :func:`recording` scope has ranked into ``registry``; None if that scope
+    records into another list."""
+    return len(_recorded_digests) if registry is _registry else None
+
+
+def _digest(sp: SparseCols) -> bytes:
+    # imported here, under recording only: loading hashlib maps OpenSSL,
+    # about 3.5 MB of resident memory that no other run needs
+    import hashlib
+
+    return hashlib.sha256(repr((sp.nrows, sp.ncols, sp.cols)).encode()).digest()
 
 
 def exact_rank(matrix) -> int:
@@ -946,6 +962,7 @@ def exact_rank_info(matrix, seed: int = 0) -> RankInfo:
                     f"rank routes disagree: engine={info.rank} bareiss={rb} modular={rm}"
                 )
         _registry.append(info)
+        _recorded_digests.add(_digest(sp))
     return info
 
 

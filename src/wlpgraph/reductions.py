@@ -33,8 +33,10 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import ranks
+from .algebra import LinearForm, MonomialAlgebra, from_graph, multiplication_map
 from .graphs import path
-from .indpoly import independence_polynomial, independent_set_masks_by_size
+from .indpoly import independence_polynomial
+from .symmetry import involution_group, symmetric_blocks
 
 
 @lru_cache(maxsize=None)
@@ -46,112 +48,23 @@ def path_dims(n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=8)
-def _path_mask_groups(n: int):
-    return independent_set_masks_by_size(path(n))
+def _path_algebra(n: int) -> MonomialAlgebra:
+    return from_graph(path(n))
 
 
 def path_ell_matrix(n: int, i: int) -> ranks.SparseCols:
     """Matrix of the all-ones multiplication [A(P_n)]_i -> [A(P_n)]_{i+1}."""
-    groups = _path_mask_groups(n)
-    src = groups[i] if i < len(groups) else []
-    tgt = groups[i + 1] if i + 1 < len(groups) else []
-    tgt_index = {m: r for r, m in enumerate(tgt)}
-    g = path(n)
-    masks = g.neighbor_masks
-    cols = []
-    for s in src:
-        blocked = s
-        rest = s
-        while rest:
-            v = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            blocked |= masks[v]
-        col = []
-        for v in range(n):
-            if not (blocked >> v) & 1:
-                row = tgt_index.get(s | (1 << v))
-                if row is not None:
-                    col.append((row, 1))
-        col.sort()
-        cols.append(col)
-    return ranks.SparseCols(len(tgt), len(src), cols)
-
-
-def _reflect(mask: int, n: int) -> int:
-    """The image of a vertex set of P_n under sigma: y_k -> y_{n+1-k}."""
-    return int(format(mask, f"0{n}b")[::-1], 2)
-
-
-def path_ell2_blocks(n: int, j: int) -> tuple[ranks.SparseCols, ranks.SparseCols]:
-    """The sigma-even and sigma-odd blocks of ell^2: [A(P_n)]_j -> [A(P_n)]_{j+2}.
-
-    sigma reverses the path and commutes with ell^2 = M, so in the orbit
-    bases (e_s + e_{sigma s}, or e_s for a fixed s, and e_s - e_{sigma s})
-    M is block diagonal over Q, and rank M = rank(even) + rank(odd).  Rows
-    and columns are the orbit representatives s <= sigma s, in basis order;
-    the odd block has only the non-fixed ones.  With t a representative:
-
-        even[t, s] = M[t, s] + M[t, sigma s]   (M[t, s] for a fixed s)
-        odd[t, s]  = M[t, s] - M[sigma t, s]
-
-    Each column is read off the images of s alone: M e_s has 2 at every
-    s | {u, v} for free, non-adjacent vertices u < v.  An image t lands in
-    row min(t, sigma t) of the even block, twice over for a fixed t and a
-    non-fixed s (then M[t, sigma s] = M[sigma t, s] = M[t, s]).
-    """
-    groups = _path_mask_groups(n)
-    # per target t: its even row, its odd row (None for a fixed t) with the
-    # sign of M[t, s] there, and its weight in the even column of a fixed
-    # or a non-fixed source
-    where: dict[int, tuple] = {}
-    n_even = n_odd = 0
-    for t in groups[j + 2]:
-        rt = _reflect(t, n)
-        if t == rt:
-            where[t] = (n_even, None, 0, 2, 4)
-            n_even += 1
-        elif t < rt:
-            where[t] = (n_even, n_odd, 2, 2, 2)
-            where[rt] = (n_even, n_odd, -2, 0, 2)
-            n_even += 1
-            n_odd += 1
-    full = (1 << n) - 1
-    even_cols, odd_cols = [], []
-    for s in groups[j]:
-        rs = _reflect(s, n)
-        if s > rs:
-            continue
-        fixed = s == rs
-        free = full & ~(s | s << 1 | s >> 1)
-        verts = [v for v in range(n) if (free >> v) & 1]
-        even: dict[int, int] = {}
-        odd: dict[int, int] = {}
-        for a, u in enumerate(verts):
-            for v in verts[a + 1:]:
-                if v == u + 1:
-                    continue
-                e_row, o_row, sign, w_fixed, w_moved = where[s | 1 << u | 1 << v]
-                if fixed:
-                    if w_fixed:
-                        even[e_row] = even.get(e_row, 0) + w_fixed
-                    continue
-                even[e_row] = even.get(e_row, 0) + w_moved
-                if o_row is not None:
-                    odd[o_row] = odd.get(o_row, 0) + sign
-        even_cols.append(sorted(even.items()))
-        if not fixed:
-            odd_cols.append(sorted((r, x) for r, x in odd.items() if x))
-    return (ranks.SparseCols(n_even, len(even_cols), even_cols),
-            ranks.SparseCols(n_odd, len(odd_cols), odd_cols))
+    return multiplication_map(_path_algebra(n), LinearForm.all_ones(n), i).matrix
 
 
 @lru_cache(maxsize=None)
 def path_ell2_rank(n: int, j: int) -> int:
     """Exact rank of ell^2: [A(P_n)]_j -> [A(P_n)]_{j+2}, engine-certified.
 
-    The sum of the certified ranks of the two reflection blocks of
-    :func:`path_ell2_blocks`; under :func:`ranks.recording` it is compared
-    with the rank of the unsplit matrix wherever that is small enough.
+    The sum of the certified ranks of the sigma-even and sigma-odd blocks
+    from :func:`symmetry.symmetric_blocks`; under :func:`ranks.recording` it
+    is compared with the rank of the unsplit matrix wherever that is small
+    enough.
     """
     if n <= 0 or j < 0:
         return 0
@@ -159,9 +72,9 @@ def path_ell2_rank(n: int, j: int) -> int:
     if j + 2 >= len(dims):
         return 0
     what = f"ell^2 rank of P_{n} at degree {j}"
-    even, odd = path_ell2_blocks(n, j)
-    r = ranks.exact_rank_info(even).certified_rank(what) \
-        + ranks.exact_rank_info(odd).certified_rank(what)
+    a = _path_algebra(n)
+    r = sum(ranks.exact_rank_info(block).certified_rank(what)
+            for block in symmetric_blocks(a, involution_group(a.graph), j, 2))
     ranks.crosscheck_structured_rank(
         r, min(dims[j], dims[j + 2]),
         lambda: path_ell_matrix(n, j + 1).matmul(path_ell_matrix(n, j)),

@@ -313,10 +313,11 @@ def check_rank_engines(seed: int = DEFAULT_SEED, count: int = 200,
     if registry is not None:
         crosschecked = sum(1 for info in registry if info.crosscheck)
         uncertified = [info for info in registry if not info.certified]
-        detail += (
-            f"; {len(registry)} engine calls recorded, {crosschecked} cross-checked, "
-            f"{len(uncertified)} uncertified"
-        )
+        distinct = ranks.distinct_recorded_matrices(registry)
+        detail += f"; {len(registry)} engine calls recorded, "
+        if distinct is not None:
+            detail += f"{distinct} distinct matrices, "
+        detail += f"{crosschecked} cross-checked, {len(uncertified)} uncertified"
         passed = passed and not uncertified
     return CheckResult("rank-engine-cross-validation", passed, detail)
 

@@ -1,8 +1,11 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wlpgraph import (
     EmptyGeneratorsError,
     LinearForm,
+    MonomialAlgebra,
     NotArtinianError,
     UncertifiedRankError,
     complete,
@@ -20,7 +23,6 @@ from wlpgraph import (
 )
 from wlpgraph import algebra as algebra_module
 from wlpgraph import indpoly as indpoly_module
-from wlpgraph import reductions as reductions_module
 from wlpgraph.indpoly import IntPolynomial
 from wlpgraph.lefschetz import classify_lollipop
 from wlpgraph.ranks import rank_bareiss
@@ -75,7 +77,8 @@ class TestFromGraph:
             seen.append(g)
             return real(g)
 
-        for module in (indpoly_module, algebra_module, reductions_module):
+        # reductions lists path sets through from_graph, so algebra's binding sees them
+        for module in (indpoly_module, algebra_module):
             monkeypatch.setattr(module, "independent_set_masks_by_size", spy)
         g = lollipop(3, 9)
 
@@ -86,6 +89,15 @@ class TestFromGraph:
         assert not lollipop_listed()
         from_graph(g).bases  # the spy sees the enumeration where one happens
         assert lollipop_listed()
+
+
+@given(num_vars=st.integers(1, 64), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_mask_to_monomial_table(num_vars, data):
+    # guard: the byte-table conversion against the bit-by-bit expression
+    mask = data.draw(st.integers(0, (1 << num_vars) - 1))
+    want = tuple((mask >> v) & 1 for v in range(num_vars))
+    assert algebra_module._mask_to_monomial(mask, num_vars) == want
 
 
 class TestFromGenerators:
@@ -161,6 +173,20 @@ class TestMultiplicationMap:
                 for i in range(min(a.socle_degree, 3)):
                     composed = multiplication_map(a, ell, i, t).matrix.to_dense()
                     assert composed == _direct_power_matrix(a, ell, i, t)
+
+    def test_graph_masks_match_monomial_route(self, rng):
+        # guard: a graph algebra builds its maps from its masks; the same
+        # algebra with explicit bases goes through the monomial tuples
+        for _ in range(40):
+            g = random_graph(rng, max_vertices=9)
+            a = from_graph(g)
+            twin = MonomialAlgebra(g.vertex_count, a.generators, bases=a.bases)
+            ell = LinearForm(tuple(rng.choice((0, 1, 2, -3)) or 1 for _ in range(g.vertex_count)))
+            for i in range(a.socle_degree + 1):
+                for t in (1, 2):
+                    got = multiplication_map(a, ell, i, t).matrix
+                    want = multiplication_map(twin, ell, i, t).matrix
+                    assert (got.nrows, got.ncols, got.cols) == (want.nrows, want.ncols, want.cols)
 
     def test_basis_canonicality(self):
         g = lollipop(3, 4)

@@ -640,6 +640,21 @@ class TestRecording:
                 ranks.crosscheck_structured_rank(2, 2, build, "here")
         assert len(built) == 2
 
+    def test_distinct_matrices_in_crosscheck_detail(self):
+        from wlpgraph.verify import check_rank_engines
+
+        registry = []
+        with recording(registry):
+            exact_rank_info([[1, 2], [3, 4]])
+            exact_rank_info([[1, 2], [3, 4]])
+            exact_rank_info([[1, 2], [3, 5]])
+            exact_rank_info([[1, 2, 0], [3, 4, 0]])  # a new shape
+            assert ranks.distinct_recorded_matrices(registry) == 3
+            assert ranks.distinct_recorded_matrices([]) is None
+            detail = check_rank_engines(count=1, registry=registry).detail
+        assert "4 engine calls recorded, 3 distinct matrices, 4 cross-checked" in detail
+        assert ranks.distinct_recorded_matrices(registry) is None
+
     def test_registry_restored(self):
         assert ranks._registry is None
         with recording([]):

@@ -5,6 +5,7 @@ import pytest
 
 from wlpgraph import LinearForm, from_graph, hilbert_series, lollipop, multiplication_map, path
 from wlpgraph import ranks, reductions
+from wlpgraph.symmetry import involution_group, symmetric_blocks
 
 
 def direct_rank(graph, i):
@@ -113,11 +114,17 @@ def _reversal_orbits(n, k):
     return (len(sets) + fixed) // 2, (len(sets) - fixed) // 2
 
 
+def _path_blocks(n, j):
+    a = from_graph(path(n))
+    return symmetric_blocks(a, involution_group(a.graph), j, 2)
+
+
 @pytest.mark.parametrize("n", range(3, 15))  # P_1, P_2 have no ell^2 map
 def test_reflection_blocks_split_the_rank(n):
     dims = reductions.path_dims(n)
+    assert involution_group(path(n)) == (tuple(range(n - 1, -1, -1)),)
     for j in range(len(dims) - 2):
-        even, odd = reductions.path_ell2_blocks(n, j)
+        even, odd = _path_blocks(n, j)
         src_all, src_moved = _reversal_orbits(n, j)
         tgt_all, tgt_moved = _reversal_orbits(n, j + 2)
         assert (even.nrows, even.ncols) == (tgt_all, src_all), (n, j)
@@ -136,15 +143,14 @@ def fresh_ell2_cache():
 def test_wrong_odd_block_raises_under_recording(monkeypatch, fresh_ell2_cache):
     # P_10 from degree 2: 35x36, small enough for the unsplit cross-check;
     # the forged odd block keeps its shape and only its first column
-    blocks = reductions.path_ell2_blocks
-
-    def wrong(n, j):
-        even, odd = blocks(n, j)
+    def wrong(a, gens, j, t):
+        even, odd = symmetric_blocks(a, gens, j, t)
         return even, ranks.SparseCols(odd.nrows, odd.ncols, odd.cols[:1] + [[]] * (odd.ncols - 1))
 
-    assert ranks.rank_bareiss(blocks(10, 2)[1]) == 14
-    assert ranks.rank_bareiss(wrong(10, 2)[1]) == 1
-    monkeypatch.setattr(reductions, "path_ell2_blocks", wrong)
+    a = from_graph(path(10))
+    assert ranks.rank_bareiss(_path_blocks(10, 2)[1]) == 14
+    assert ranks.rank_bareiss(wrong(a, involution_group(a.graph), 2, 2)[1]) == 1
+    monkeypatch.setattr(reductions, "symmetric_blocks", wrong)
     with ranks.recording([]):
         with pytest.raises(ranks.RankComputationError, match="P_10 at degree 2"):
             reductions.path_ell2_rank(10, 2)
