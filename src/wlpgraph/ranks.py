@@ -20,8 +20,8 @@ certificate:
   where that cannot overflow and in Python integers otherwise; every vector
   is then verified in exact arithmetic.  A verified set of independent null
   vectors caps the rank.  If a prime is unlucky the next one is tried.
-  A core whose dense image exceeds ``DENSE_ELEMS_CAP`` gets only a sparse
-  rank mod p: a certificate of full rank, else an uncertified lower bound.
+  A core whose dense image would exceed ``DENSE_ELEMS_CAP`` is not ranked:
+  :func:`_dense_mod` raises :class:`UncertifiedRankError` instead.
 
 The LU runs over float64 with primes below 2^23, so panel updates become BLAS
 matrix products.  Residues are kept centred, |r| <= p/2 + 2, by one
@@ -53,10 +53,10 @@ _SMALL_PRIME_BOUND = 1 << 23
 # Elements per row block of the in-place reductions and trailing updates.
 _REDUCE_BLOCK = 1 << 16
 
-# Route-selection caps (calibrated on this machine; correctness never depends
-# on them, only which exact route runs).
+# Route-selection and memory caps (correctness never depends on them: the
+# first picks which exact route runs, the second which matrices are refused).
 BAREISS_OPS_CAP = 1_000_000  # rows*cols*min budget for Bareiss (so min dim <= 100)
-DENSE_ELEMS_CAP = 70_000_000  # dense float64 core budget (~560 MB)
+DENSE_ELEMS_CAP = 70_000_000  # budget of every dense image (~560 MB in float64)
 DIXON_MAX_STEPS = 700
 
 CROSSCHECK_CAP = 110       # registry mode: run Bareiss + >2^30 modular up to this min-dim
@@ -67,7 +67,8 @@ class RankComputationError(RuntimeError):
 
 
 class UncertifiedRankError(RuntimeError):
-    """An exact rank was asked for, but the engine only bounded it from below."""
+    """An exact rank was asked for but not certified: the engine only bounded
+    it from below, or the matrix's dense image would exceed the budget."""
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +352,16 @@ def _peel(sp: SparseCols):
 
 
 def _dense_mod(sp: SparseCols, p: int | None, dtype=np.float64) -> np.ndarray:
-    """Dense image of sp with entries reduced into [0, p) (exact if p is None)."""
+    """Dense image of sp with entries reduced into [0, p) (exact if p is None).
+
+    Every dense image of the engine is made here, so this is where the memory
+    budget holds: an image of more than ``DENSE_ELEMS_CAP`` elements raises
+    :class:`UncertifiedRankError`, naming its shape, before it is allocated.
+    """
+    if sp.nrows * sp.ncols > DENSE_ELEMS_CAP:
+        raise UncertifiedRankError(
+            f"dense image {sp.nrows}x{sp.ncols} exceeds the budget of "
+            f"{DENSE_ELEMS_CAP} elements (DENSE_ELEMS_CAP)")
     a = np.zeros((sp.nrows, sp.ncols), dtype=dtype)
     rows = [i for col in sp.cols for i, _ in col]
     cols = [j for j, col in enumerate(sp.cols) for _ in col]
@@ -607,65 +617,6 @@ class _BlockedLU:
         return self.col_perm[free].tolist(), out
 
 
-def _rank_mod_p_big_sparse(sp: SparseCols, p: int) -> int:
-    """Markowitz-style sparse elimination mod p, densifying once feasible.
-
-    Only exercised for matrices whose dense image would not fit the budget;
-    the structured reductions keep the library's own matrices well below it.
-    """
-    rows: dict[int, dict[int, int]] = {}
-    cols: dict[int, set[int]] = {}
-    for j, col in enumerate(sp.cols):
-        for i, v in col:
-            w = v % p
-            if w:
-                rows.setdefault(i, {})[j] = w
-                cols.setdefault(j, set()).add(i)
-    rank = 0
-    while rows:
-        live_rows = len(rows)
-        live_cols = len(cols)
-        if live_rows * live_cols <= DENSE_ELEMS_CAP:
-            rpos = {i: k for k, i in enumerate(rows)}
-            cpos = {j: k for k, j in enumerate(cols)}
-            core = np.zeros((live_rows, live_cols))
-            for i, cs in rows.items():
-                core[rpos[i], [cpos[j] for j in cs]] = list(cs.values())
-            if p < _SMALL_PRIME_BOUND:
-                return rank + _BlockedLU(core, p).rank
-            return rank + _rank_mod_p_int64(core.astype(np.int64), p)
-        # pick pivot minimizing (row_nnz - 1)*(col_nnz - 1)
-        j = min(cols, key=lambda c: len(cols[c]))
-        i = min(cols[j], key=lambda r: len(rows[r]))
-        piv_row = rows.pop(i)
-        inv = pow(piv_row[j], -1, p)
-        for jj in piv_row:
-            cols[jj].discard(i)
-            if not cols[jj]:
-                del cols[jj]
-        piv = {jj: v * inv % p for jj, v in piv_row.items() if jj != j}
-        for ii in list(cols.get(j, ())):
-            row = rows[ii]
-            f = row.pop(j)
-            for jj, v in piv.items():
-                w = (row.get(jj, 0) - f * v) % p
-                if w:
-                    if jj not in row:
-                        cols.setdefault(jj, set()).add(ii)
-                    row[jj] = w
-                elif jj in row:
-                    del row[jj]
-                    cols[jj].discard(ii)
-                    if not cols[jj]:
-                        del cols[jj]
-            if not row:
-                del rows[ii]
-        if j in cols:
-            del cols[j]
-        rank += 1
-    return rank
-
-
 @lru_cache(maxsize=1024)
 def _crosscheck_primes(seed: int, count: int) -> tuple[int, ...]:
     """The primes of :func:`rank_modular`, drawn once per (seed, count)."""
@@ -684,12 +635,10 @@ def rank_modular(matrix, prime_count: int = 3, seed: int = 0) -> int:
     sp = _coerce(matrix)
     if sp.nrows == 0 or sp.ncols == 0:
         return 0
-    a = None
-    if sp.nrows * sp.ncols <= DENSE_ELEMS_CAP:
-        a = _dense_mod(sp, None, np.int64 if sp.max_abs() < 1 << 63 else object)
+    a = _dense_mod(sp, None, np.int64 if sp.max_abs() < 1 << 63 else object)
     best = 0
     for p in _crosscheck_primes(seed, prime_count):
-        best = max(best, _rank_mod_p_big_sparse(sp, p) if a is None else _rank_mod_p_int64(a, p))
+        best = max(best, _rank_mod_p_int64(a, p))
         if best == min(sp.nrows, sp.ncols):
             break
     return best
@@ -947,8 +896,9 @@ def exact_rank_info(matrix, seed: int = 0) -> RankInfo:
     rank certifies itself, and a deficient rank, of any nullity, is certified
     by exact integer null vectors of the core (one per unit of its nullity)
     read from the same factorization.  If a certificate cannot be completed
-    at up to five primes, or the core is too large for a dense image, the
-    best modular rank is returned with ``certified=False``.
+    at up to five primes, the best modular rank is returned with
+    ``certified=False``; a core whose dense image would exceed
+    ``DENSE_ELEMS_CAP`` raises :class:`UncertifiedRankError`.
     """
     sp = _coerce(matrix)
     info = _exact_rank_info_inner(sp, seed)
@@ -1003,15 +953,8 @@ def _exact_rank_info_inner(sp: SparseCols, seed: int) -> RankInfo:
     # rank(sp) = base + rank(core) exactly, so certifying the core suffices;
     # in its tall orientation the kernel to certify is a right kernel
     tall = core if core.nrows >= core.ncols else core.transpose()
-    primes = _engine_primes(shape, seed, core.max_abs())[:5]
-    if tall.nrows * tall.ncols > DENSE_ELEMS_CAP:
-        # no dense image, hence no kernel certificate, fits the budget: the
-        # sparse rank mod p certifies full rank, else is only a lower bound
-        rp = _rank_mod_p_big_sparse(tall, primes[0])
-        return RankInfo(base + rp, rp == mind, "peel+modular-full" if rp == mind
-                        else "modular-consensus", shape, nnz)
     r = 0
-    for p in primes:
+    for p in _engine_primes(shape, seed, core.max_abs())[:5]:
         lu = _BlockedLU(_dense_mod(tall, p), p)
         if lu.rank == mind:
             return RankInfo(base + mind, True, "peel+modular-full", shape, nnz)

@@ -69,9 +69,10 @@ def rng():
 
 @pytest.fixture
 def starved_engine(monkeypatch):
-    """Caps under which the engine certifies no rank-deficient core: Bareiss
-    never runs and no dense LU fits, so a deficient rank is a lower bound."""
-    monkeypatch.setattr(ranks, "DENSE_ELEMS_CAP", 100)
+    """An engine that certifies no rank-deficient core: Bareiss never runs and
+    the null-vector certificate is withheld, so a deficient core comes back as
+    ``modular-consensus``, with the LU's rank as an uncertified lower bound."""
+    monkeypatch.setattr(ranks, "exact_right_null_vectors", lambda *args, **kwargs: [])
     monkeypatch.setattr(ranks, "BAREISS_OPS_CAP", 0)
     cached = (reductions.path_ell2_rank, reductions.path_ell_rank)
     for fn in cached:

@@ -1,9 +1,11 @@
 import json
 import multiprocessing.pool
 import os
+import re
 
 import pytest
 
+from wlpgraph import ranks
 from wlpgraph.cli import main
 from wlpgraph.verify import check_path_modes
 
@@ -191,17 +193,21 @@ class TestUncertified:
         assert captured.out == ""
         assert captured.err.startswith("error: ell^2 rank of P_10 at degree 2 not certified")
 
-    def test_wlp_exits_2(self, capsys, starved_engine, tmp_path):
-        # C_12 has no structured reduction: its ranks come from the engine
+    def test_wlp_exits_2(self, capsys, starved_engine, monkeypatch, tmp_path):
+        # C_12 has no structured reduction: its ranks come from the engine;
+        # with a tiny dense budget, its first image is refused instead
         f = tmp_path / "c12.txt"
         f.write_text("n 12\n" + "".join(f"{i} {(i + 1) % 12}\n" for i in range(12)))
-        for argv in (["wlp", "--graph-file", str(f)],
-                     ["--output", "json", "wlp", "--graph-file", str(f)]):
-            code = main(argv)
-            captured = capsys.readouterr()
-            assert code == 2
-            assert captured.out == ""
-            assert captured.err.startswith("error: rank 102 at degree 3 not certified")
+        for cap, error in ((ranks.DENSE_ELEMS_CAP, r"error: rank 102 at degree 3 not certified"),
+                           (100, r"error: dense image \d+x\d+ exceeds the budget of 100 ")):
+            monkeypatch.setattr(ranks, "DENSE_ELEMS_CAP", cap)
+            for argv in (["wlp", "--graph-file", str(f)],
+                         ["--output", "json", "wlp", "--graph-file", str(f)]):
+                code = main(argv)
+                captured = capsys.readouterr()
+                assert code == 2
+                assert captured.out == ""
+                assert re.match(error, captured.err)
 
 
 def test_corrupted_mode_table_fails_check():

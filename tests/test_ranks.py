@@ -539,25 +539,30 @@ class TestExactRankInfo:
         assert info.rank == rank_bareiss(sp)
 
     def test_dense_cap_respected(self, monkeypatch):
-        # over the cap there is no dense LU, hence no kernel certificate: the
-        # sparse rank mod p comes back as an uncertified lower bound
+        # over the cap no dense image is made, so no rank is read from one:
+        # the engine and the cross-check both raise, naming the shape
         cap = 1000
         rng2 = np.random.default_rng(9)
         m = (rng2.integers(-2, 3, size=(300, 30)) @ rng2.integers(-2, 3, size=(30, 200))).tolist()
-        sizes = []
-
-        class SizedLU(_BlockedLU):
-            def __init__(self, a, p):
-                sizes.append(a.size)
-                super().__init__(a, p)
-
         monkeypatch.setattr(ranks, "DENSE_ELEMS_CAP", cap)
-        monkeypatch.setattr(ranks, "_BlockedLU", SizedLU)
+        factored = _spy(monkeypatch, "_BlockedLU")
         nullcert = _spy(monkeypatch, "exact_right_null_vectors")
-        info = exact_rank_info(m)
-        assert (info.rank, info.certified, info.method) == (30, False, "modular-consensus")
-        assert max(sizes, default=0) <= cap
+        with pytest.raises(ranks.UncertifiedRankError, match="300x200 exceeds the budget of 1000"):
+            exact_rank_info(m)
+        assert not factored
         assert not nullcert
+
+        images = []
+        zeros = np.zeros
+
+        def counted_zeros(*args, **kwargs):
+            images.append(args)
+            return zeros(*args, **kwargs)
+
+        monkeypatch.setattr(np, "zeros", counted_zeros)
+        with pytest.raises(ranks.UncertifiedRankError, match="300x200 exceeds the budget of 1000"):
+            rank_modular(m)
+        assert not images
 
     def test_agreement_with_engines(self, rng):
         for trial in range(40):
@@ -590,24 +595,6 @@ class TestRankProperties:
         gm = multiplication_map(from_graph(path(4)), LinearForm.all_ones(4), 1, 1)
         first = gm.rank_info
         assert gm.rank_info is first  # idempotent, computed once
-
-
-class TestBigSparseRoute:
-    def test_matches_dense_routes(self, rng, monkeypatch):
-        # force the Markowitz fallback that normally only giant matrices hit
-        import wlpgraph.ranks as ranks_mod
-
-        for trial in range(8):
-            nr, nc = rng.randint(20, 120), rng.randint(20, 120)
-            m = [[rng.randint(-4, 4) if rng.random() < 0.06 else 0 for _ in range(nc)]
-                 for _ in range(nr)]
-            p = SMALL_PRIMES[trial]
-            sp = SparseCols.from_dense(m)
-            want = _BlockedLU(_dense_mod(sp, p), p).rank
-            monkeypatch.setattr(ranks_mod, "DENSE_ELEMS_CAP", 64)
-            got = ranks_mod._rank_mod_p_big_sparse(sp, p)
-            monkeypatch.undo()
-            assert got == want
 
 
 class TestRecording:

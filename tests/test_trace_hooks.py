@@ -7,9 +7,11 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from wlpgraph.cli import main
+from wlpgraph.ranks import exact_rank_info
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -53,3 +55,21 @@ def test_workload_gates_pass(workload):
     outcome = execute(make_inputs(7, "tiny"))
     assert outcome.attempted > 0
     assert outcome.failed == 0, outcome.errors
+
+
+def test_routes_cover_every_rank_method(request):
+    # a renamed or orphaned route would silently zero its ranks.route.* metric
+    rng = np.random.default_rng(3)
+    # 120 * 110 * 110 is over BAREISS_OPS_CAP, so these go to the modular LU
+    deficient = (rng.integers(-2, 3, size=(120, 100)) @ rng.integers(-2, 3, size=(100, 110))).tolist()
+    corpus = [
+        [[0, 0], [0, 0]],                               # trivial
+        [[1, 0], [0, 1]],                               # peel
+        [[1, 2], [2, 4]],                               # peel+bareiss
+        rng.integers(1, 3, size=(120, 110)).tolist(),   # peel+modular-full
+        deficient,                                      # peel+modular+nullcert
+    ]
+    methods = {exact_rank_info(m).method for m in corpus}
+    request.getfixturevalue("starved_engine")
+    methods.add(exact_rank_info(deficient).method)      # modular-consensus
+    assert methods == set(_load("tracer").ROUTES)
