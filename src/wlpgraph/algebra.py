@@ -24,6 +24,7 @@ from functools import cached_property, lru_cache
 from . import ranks
 from .graphs import Graph
 from .indpoly import IntPolynomial, independence_polynomial, independent_set_masks_by_size
+from .symmetry import involution_group, symmetric_blocks
 
 Monomial = tuple  # exponent tuple, one entry per variable
 
@@ -144,16 +145,38 @@ class MonomialAlgebra:
         return idx
 
     def map_rank(self, ell: LinearForm, i: int, t: int = 1) -> int:
-        """``multiplication_map(self, ell, i, t).rank``, memoized per algebra.
+        """The certified rank of ell^t from degree i, memoized per algebra.
 
-        Only the integer is kept, not the matrix.  An uncertified rank raises
-        :class:`ranks.UncertifiedRankError` and is not stored.
+        With the all-ones form on a graph with commuting involutions it is the
+        sum of the ranks of the blocks of :func:`symmetry.symmetric_blocks`,
+        compared under :func:`ranks.recording` with the unsplit map where that
+        is small enough; otherwise ``multiplication_map(self, ell, i, t).rank``.
+        Only the integer is kept.  An uncertified rank raises
+        :class:`ranks.UncertifiedRankError`, naming the degree, and is not
+        stored.
         """
         key = (ell.coefficients, i, t)
         rank = self._rank_cache.get(key)
-        if rank is None:
-            rank = multiplication_map(self, ell, i, t).rank
-            self._rank_cache[key] = rank
+        if rank is not None:
+            return rank
+        gens = involution_group(self.graph) if self.graph is not None and ell.is_all_ones else ()
+        if gens:
+            matrices = symmetric_blocks(self, gens, i, t)
+        else:
+            matrices = [multiplication_map(self, ell, i, t).matrix]
+        where = f"at degree {i}"
+        try:
+            infos = [ranks.exact_rank_info(m) for m in matrices]
+        except ranks.UncertifiedRankError as exc:  # the engine refused a matrix
+            raise ranks.UncertifiedRankError(f"{exc} {where}") from exc
+        rank = sum(info.rank for info in infos)
+        for info in infos:
+            info.certified_rank(f"rank {rank} {where}")
+        if gens:
+            ranks.crosscheck_structured_rank(
+                rank, min(self.dim(i), self.dim(i + t)),
+                lambda: multiplication_map(self, ell, i, t).matrix, where)
+        self._rank_cache[key] = rank
         return rank
 
     def __repr__(self):

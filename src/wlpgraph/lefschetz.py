@@ -15,7 +15,6 @@ from . import ranks, reductions
 from .algebra import LinearForm, MonomialAlgebra, from_graph, hilbert_series, multiplication_map
 from .graphs import classify_family, lollipop
 from .indpoly import IntPolynomial, mode_analysis
-from .symmetry import involution_group, symmetric_blocks
 
 
 @dataclass(frozen=True)
@@ -79,24 +78,11 @@ def _failure_kind(v: DegreeVerdict) -> str:
     return "both"
 
 
-def _split_rank(a: MonomialAlgebra, gens, i: int) -> int:
-    """The sum of the certified ranks of the blocks of ell over the
-    characters of the group generated by ``gens``; an uncertified block
-    raises, naming the summed lower bound."""
-    infos = [ranks.exact_rank_info(block) for block in symmetric_blocks(a, gens, i, 1)]
-    r = sum(info.rank for info in infos)
-    for info in infos:
-        info.certified_rank(f"rank {r} at degree {i}")
-    return r
-
-
-def _oracle_rank(kind, a: MonomialAlgebra, i: int, gens=()):
-    """Rank from the structured reductions, or from the symmetry blocks when
-    ``kind`` is None, cross-checked against the engine on small matrices
-    whenever a recording registry is active."""
-    if kind is None:
-        r = _split_rank(a, gens, i)
-    elif kind[0] == "path":
+def _oracle_rank(kind, a: MonomialAlgebra, i: int):
+    """Rank from the structured reductions of a path or lollipop, cross-checked
+    against the engine on small matrices whenever a recording registry is
+    active."""
+    if kind[0] == "path":
         r = reductions.path_ell_rank(kind[1], i)
     else:
         r = reductions.lollipop_ell_rank(kind[1], kind[2], i)
@@ -115,17 +101,12 @@ def wlp_report_with_form(a: MonomialAlgebra, ell: LinearForm) -> WlpReport:
     Lefschetz element, which for monomial ideals is sufficient but not
     necessary for the WLP.  A graph algebra with the all-ones form gets its
     ranks from the path and lollipop reductions where its graph is one of
-    those, and otherwise from the blocks over the characters of commuting
-    involutions of its graph, if it has any.
+    those; every other rank comes from :meth:`MonomialAlgebra.map_rank`,
+    which splits it over commuting involutions of the graph, if it has any.
     """
     hs = hilbert_series(a)
     d_top = a.socle_degree
-    family = None
-    gens = ()
-    if ell.is_all_ones and a.graph is not None:
-        family = classify_family(a.graph)
-        if family is None:
-            gens = involution_group(a.graph)
+    family = classify_family(a.graph) if ell.is_all_ones and a.graph is not None else None
     verdicts = []
     for i in range(d_top + 1):
         h_i = a.dim(i)
@@ -133,10 +114,7 @@ def wlp_report_with_form(a: MonomialAlgebra, ell: LinearForm) -> WlpReport:
         if h_next == 0:
             verdicts.append(_verdict(i, h_i, 0, 0))
             continue
-        if family is not None or gens:
-            rank = _oracle_rank(family, a, i, gens)
-        else:
-            rank = multiplication_map(a, ell, i, 1).rank
+        rank = _oracle_rank(family, a, i) if family else a.map_rank(ell, i)
         verdicts.append(_verdict(i, h_i, h_next, rank))
     failing = tuple(
         (v.degree, _failure_kind(v)) for v in verdicts if not v.maximal_rank

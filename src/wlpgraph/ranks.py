@@ -13,13 +13,13 @@ certificate:
 * the rank mod p, a lower bound for the rational rank (a nonzero minor mod
   p is nonzero over Z), which settles full rank on its own;
 * for a deficient core of any nullity, a kernel basis mod p read from the
-  same echelon form by back substitution of U over the free columns.  There
-  is one certificate path: each vector is lifted from the single prime by
-  rational reconstruction; Dixon's p-adic lifting, on the pivot block of
-  the same factors, runs only for the vectors whose lift fails, in int64
-  where that cannot overflow and in Python integers otherwise; every vector
-  is then verified in exact arithmetic.  A verified set of independent null
-  vectors caps the rank.  If a prime is unlucky the next one is tried.
+  same echelon form by back substitution of U over the free columns.  One
+  loop certifies it: the basis is step 1 of Dixon's p-adic lifting on the
+  pivot block of the same factors, each vector is rationally reconstructed
+  at p, p^2, p^4, ... and checked by one exact product, and only the vectors
+  that need it are lifted further, in int64 where that cannot overflow and
+  in Python integers otherwise.  A verified set of independent null vectors
+  caps the rank.  If a prime is unlucky the next one is tried.
   A core whose dense image would exceed ``DENSE_ELEMS_CAP`` is not ranked:
   :func:`_dense_mod` raises :class:`UncertifiedRankError` instead.
 
@@ -645,7 +645,7 @@ def rank_modular(matrix, prime_count: int = 3, seed: int = 0) -> int:
 
 
 # ---------------------------------------------------------------------------
-# exact null vectors: single-prime lift, Dixon lifting for the rest
+# exact null vectors: Dixon lifting from the LU's kernel basis
 
 
 def _rational_reconstruct(a: int, m: int):
@@ -701,52 +701,6 @@ def _try_reconstruct_vector(xacc, m: int):
     return nums, den
 
 
-def _dixon_solve_batch(a_int: np.ndarray, lu: _BlockedLU, b: np.ndarray, p: int):
-    """Solve a_int @ x = b over Q for every column of b at once by p-adic
-    lifting; returns a list of (nums, den) or None per column.
-
-    ``a_int`` must be the exact pivot submatrix of ``lu`` (rows ``perm[:r]``,
-    columns ``col_perm[piv_pos]``), which :meth:`_BlockedLU.solve` inverts
-    mod p.  ``a_int`` and ``b`` share one dtype: int64 when
-    :func:`_int64_safe` holds, else object (Python ints), so any entry size
-    lifts exactly.  The triangular solves run as matrix passes over all
-    columns; reconstruction attempts follow a doubling schedule.
-    """
-    k = b.shape[1]
-    residual = b
-    xacc = np.zeros(b.shape, dtype=object)
-    done: list = [None] * k
-    pk = 1
-    next_attempt = 2
-    for step in range(1, DIXON_MAX_STEPS + 1):
-        xi = lu.solve((residual % p).astype(np.float64)).astype(np.int64)
-        residual = (residual - a_int @ xi) // p
-        xacc += xi.astype(object) * pk
-        pk *= p
-        if step >= next_attempt or step == DIXON_MAX_STEPS:
-            next_attempt = step * 2
-            for c in range(k):
-                if done[c] is None:
-                    recon = _try_reconstruct_vector(xacc[:, c].tolist(), pk)
-                    if recon is not None and _spot_check_solution(a_int, recon, b[:, c]):
-                        done[c] = recon
-            if all(sol is not None for sol in done):
-                break
-    return done
-
-
-def _spot_check_solution(a_int: np.ndarray, recon, b_col) -> bool:
-    """Exact check of a few rows of a_int @ nums == den * b; cheap insurance
-    against a spuriously early rational reconstruction."""
-    nums, den = recon
-    n = a_int.shape[0]
-    for row in {0, n // 2, n - 1}:
-        lhs = sum(int(a) * x for a, x in zip(a_int[row], nums))
-        if lhs != den * int(b_col[row]):
-            return False
-    return True
-
-
 def _int64_safe(sp: SparseCols, p: int) -> bool:
     """Whether Dixon's integer side fits int64 for sp at p."""
     return sp.max_abs() * max(sp.nrows, sp.ncols, 1) * p < (1 << 62)
@@ -761,9 +715,14 @@ def exact_right_null_vectors(matrix, count: int, seed: int = 0,
     caller has factored M already, else a fresh one at a prime drawn from
     ``seed``.  Back substitution of U gives a kernel basis mod p in which
     vector k carries the k-th non-pivot column's unit coordinate, so the
-    vectors are independent.  Each is lifted from the single prime by
-    rational reconstruction; Dixon's p-adic lifting on the same factors runs
-    only for those whose lift fails verification.
+    vectors are independent.  Its pivot entries solve the pivot system mod p:
+    step 1 of Dixon's p-adic lifting on the same factors.  One loop
+    reconstructs each vector at p, p^2, p^4, ... and checks it by one exact
+    product: zero everywhere keeps it; zero on the pivot rows only makes it
+    the pivot system's exact solution but no kernel vector, so p is unlucky
+    for that column, which is dropped; anything else is lifted further.  The
+    exact image that lifting needs (int64 where that cannot overflow, else
+    Python integers) is built only once some vector needs it.
     """
     sp = _coerce(matrix)
     if sp.ncols == 0:
@@ -771,59 +730,48 @@ def exact_right_null_vectors(matrix, count: int, seed: int = 0,
     if lu is None:
         p = SMALL_PRIMES[random.Random(seed).randrange(len(SMALL_PRIMES))]
         lu = _BlockedLU(_dense_mod(sp, p), p)
+    p = lu.p
     free, basis = lu.kernel_basis(count)
+    rows, cols = lu.perm[:lu.rank].tolist(), lu.col_perm[lu.piv_pos].tolist()
+    xacc = basis[cols].astype(np.int64)  # step 1: the pivot solutions mod p
     vectors: list[list[int]] = []
-    failed: list[int] = []
-    for k, f in enumerate(free):
-        v = _lift_null_vector(sp, basis[:, k].astype(np.int64).tolist(), lu.p)
-        if v is None:
-            failed.append(f)
+    a_int = residual = None
+    step, pk = 1, p
+    while True:
+        lifting = []
+        for c, f in enumerate(free):
+            recon = _try_reconstruct_vector(xacc[:, c].tolist(), pk)
+            if recon is None:
+                lifting.append(c)
+                continue
+            v = [0] * sp.ncols
+            for j, x in zip(cols, recon[0]):
+                v[j] = x
+            v[f] = recon[1]
+            g = gcd(*v)
+            if g > 1:
+                v = [x // g for x in v]
+            out = sp.matvec(v)
+            if not any(out):
+                vectors.append(v)
+            elif any(out[i] for i in rows):
+                lifting.append(c)
+        if not lifting or step == DIXON_MAX_STEPS:
+            return vectors
+        free = [free[c] for c in lifting]
+        xacc = xacc[:, lifting]
+        if a_int is None:
+            dense = _dense_mod(sp, None, np.int64 if _int64_safe(sp, p) else object)
+            a_int = dense[np.ix_(rows, cols)]
+            residual = (-dense[np.ix_(rows, free)] - a_int @ xacc) // p
+            xacc = xacc.astype(object)
         else:
-            vectors.append(v)
-    if failed:
-        vectors += _dixon_null_vectors(sp, lu, failed)
-    return vectors
-
-
-def _lift_null_vector(sp: SparseCols, residues: list[int], p: int) -> list[int] | None:
-    """The integer kernel vector of sp that reduces to a multiple of
-    ``residues`` mod p, if its entries are small enough to be read off a
-    single prime (for a denominator of 1 this is the symmetric lift)."""
-    recon = _try_reconstruct_vector(residues, p)
-    if recon is None:
-        return None
-    v = _primitive(recon[0])
-    return v if not any(sp.matvec(v)) else None
-
-
-def _primitive(v: list[int]) -> list[int]:
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    return [x // g for x in v] if g > 1 else v
-
-
-def _dixon_null_vectors(sp: SparseCols, lu: _BlockedLU, free_cols: list[int]) -> list[list[int]]:
-    """Exact kernel vectors for the given non-pivot columns by Dixon lifting on
-    the pivot rows and columns of ``lu``, whose factors serve the solves."""
-    piv_rows = lu.perm[:lu.rank]
-    piv_cols = lu.col_perm[lu.piv_pos]
-    dense = _dense_mod(sp, None, np.int64 if _int64_safe(sp, lu.p) else object)
-    solutions = _dixon_solve_batch(dense[np.ix_(piv_rows, piv_cols)], lu,
-                                   -dense[np.ix_(piv_rows, free_cols)], lu.p)
-    vectors: list[list[int]] = []
-    for f, sol in zip(free_cols, solutions):
-        if sol is None:
-            continue
-        nums, den = sol
-        v = [0] * sp.ncols
-        for j, nv in zip(piv_cols.tolist(), nums):
-            v[j] = nv
-        v[f] = den
-        v = _primitive(v)
-        if not any(sp.matvec(v)):
-            vectors.append(v)
-    return vectors
+            residual = residual[:, lifting]
+        for step in range(step + 1, min(2 * step, DIXON_MAX_STEPS) + 1):  # to the next attempt
+            xi = lu.solve((residual % p).astype(np.float64)).astype(np.int64)
+            residual = (residual - a_int @ xi) // p
+            xacc += xi.astype(object) * pk
+            pk *= p
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,6 @@ from . import ranks
 from .algebra import LinearForm, MonomialAlgebra, from_graph, multiplication_map
 from .graphs import path
 from .indpoly import independence_polynomial
-from .symmetry import involution_group, symmetric_blocks
 
 
 @lru_cache(maxsize=None)
@@ -61,26 +60,20 @@ def path_ell_matrix(n: int, i: int) -> ranks.SparseCols:
 def path_ell2_rank(n: int, j: int) -> int:
     """Exact rank of ell^2: [A(P_n)]_j -> [A(P_n)]_{j+2}, engine-certified.
 
-    The sum of the certified ranks of the sigma-even and sigma-odd blocks
-    from :func:`symmetry.symmetric_blocks`; under :func:`ranks.recording` it
-    is compared with the rank of the unsplit matrix wherever that is small
-    enough.
+    :meth:`MonomialAlgebra.map_rank` adds up the certified ranks of the
+    sigma-even and sigma-odd blocks and, under :func:`ranks.recording`,
+    compares the sum with the unsplit matrix wherever that is small enough.
+    An error names the path, the power and the degree.
     """
-    if n <= 0 or j < 0:
-        return 0
-    dims = path_dims(n)
-    if j + 2 >= len(dims):
+    if n <= 0 or j < 0 or j + 2 >= len(path_dims(n)):
         return 0
     what = f"ell^2 rank of P_{n} at degree {j}"
-    a = _path_algebra(n)
-    r = sum(ranks.exact_rank_info(block).certified_rank(what)
-            for block in symmetric_blocks(a, involution_group(a.graph), j, 2))
-    ranks.crosscheck_structured_rank(
-        r, min(dims[j], dims[j + 2]),
-        lambda: path_ell_matrix(n, j + 1).matmul(path_ell_matrix(n, j)),
-        f"for {what}",
-    )
-    return r
+    try:
+        return _path_algebra(n).map_rank(LinearForm.all_ones(n), j, 2)
+    except ranks.UncertifiedRankError as exc:
+        raise ranks.UncertifiedRankError(f"{what} not certified: {exc}") from exc
+    except ranks.RankComputationError as exc:
+        raise ranks.RankComputationError(f"{exc} for {what}") from exc
 
 
 @lru_cache(maxsize=None)

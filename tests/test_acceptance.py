@@ -24,6 +24,7 @@ _registry: list = []
 def recording_scope():
     reductions.path_ell_rank.cache_clear()
     reductions.path_ell2_rank.cache_clear()
+    reductions._path_algebra.cache_clear()  # and the ranks its algebras keep
     reductions.path_dims.cache_clear()
     mode_of_path.cache_clear()
     with ranks.recording(_registry):

@@ -219,14 +219,21 @@ def _direct_power_matrix(a, ell, i, t):
 
 
 def _spy_builds(monkeypatch) -> list:
-    real = algebra_module.multiplication_map
+    """(degree, power) of every map that ``map_rank`` builds, whole or split."""
+    real_map = algebra_module.multiplication_map
+    real_blocks = algebra_module.symmetric_blocks
     built = []
 
-    def spy(a, ell, i, t=1):
+    def spy_map(a, ell, i, t=1):
         built.append((i, t))
-        return real(a, ell, i, t)
+        return real_map(a, ell, i, t)
 
-    monkeypatch.setattr(algebra_module, "multiplication_map", spy)
+    def spy_blocks(a, gens, i, t):
+        built.append((i, t))
+        return real_blocks(a, gens, i, t)
+
+    monkeypatch.setattr(algebra_module, "multiplication_map", spy_map)
+    monkeypatch.setattr(algebra_module, "symmetric_blocks", spy_blocks)
     return built
 
 

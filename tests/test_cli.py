@@ -193,13 +193,28 @@ class TestUncertified:
         assert captured.out == ""
         assert captured.err.startswith("error: ell^2 rank of P_10 at degree 2 not certified")
 
+    def test_classify_budget_error_names_the_map(self, capsys, starved_engine, monkeypatch):
+        # with Bareiss off, a tiny dense budget refuses a block of the ell^2
+        # map of P_10 from degree 1; the error names the path, the power and
+        # the degree, not only the refused image
+        monkeypatch.setattr(ranks, "DENSE_ELEMS_CAP", 100)
+        code = main(["classify", "--m", "1..1", "--n", "11..11"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert re.match(r"error: ell\^2 rank of P_10 at degree 1 not certified: "
+                        r"dense image \d+x\d+ exceeds the budget of 100 .* at degree 1$",
+                        captured.err)
+
     def test_wlp_exits_2(self, capsys, starved_engine, monkeypatch, tmp_path):
         # C_12 has no structured reduction: its ranks come from the engine;
-        # with a tiny dense budget, its first image is refused instead
+        # with a tiny dense budget, its first image is refused instead, and
+        # the error names the degree
         f = tmp_path / "c12.txt"
         f.write_text("n 12\n" + "".join(f"{i} {(i + 1) % 12}\n" for i in range(12)))
         for cap, error in ((ranks.DENSE_ELEMS_CAP, r"error: rank 102 at degree 3 not certified"),
-                           (100, r"error: dense image \d+x\d+ exceeds the budget of 100 ")):
+                           (100, r"error: dense image \d+x\d+ exceeds the budget of 100 .* "
+                                 r"at degree 2$")):
             monkeypatch.setattr(ranks, "DENSE_ELEMS_CAP", cap)
             for argv in (["wlp", "--graph-file", str(f)],
                          ["--output", "json", "wlp", "--graph-file", str(f)]):

@@ -15,7 +15,6 @@ from wlpgraph.ranks import (
     _dense_mod,
     _engine_primes,
     _int64_safe,
-    _lift_null_vector,
     _peel,
     _rank_mod_p_int64,
     _rational_reconstruct,
@@ -58,6 +57,20 @@ def _spy(monkeypatch, name):
 
     monkeypatch.setattr(ranks, name, wrapper)
     return calls
+
+
+def _spy_solves(monkeypatch):
+    """Right-hand-side shape of every ``_BlockedLU.solve`` call; each call is
+    one Dixon lifting step past the kernel basis."""
+    shapes = []
+    original = _BlockedLU.solve
+
+    def solve(self, y):
+        shapes.append(y.shape)
+        return original(self, y)
+
+    monkeypatch.setattr(_BlockedLU, "solve", solve)
+    return shapes
 
 
 class TestSparseCols:
@@ -312,7 +325,7 @@ class TestModularKernels:
         assert ((basis >= 0) & (basis < p)).all()
         assert not (am @ basis.astype(np.int64) % p).any()
 
-    def test_factors_after_panel_column_swaps(self, rng):
+    def test_factors_after_panel_column_swaps(self, rng, monkeypatch):
         # column 5 depends on columns 1, 2 and column 70 on column 3, so each
         # panel has a non-pivot column ahead of pivot columns; the second
         # panel's swaps must also reorder the U rows above it
@@ -335,21 +348,23 @@ class TestModularKernels:
         free, basis = lu.kernel_basis(nc)
         assert sorted(free) == [5, 70, 100]
         assert not (a @ basis.astype(np.int64) % p).any()
-        assert all(_lift_null_vector(sp, basis[:, k].astype(np.int64).tolist(), p)
-                   for k in range(len(free)))
+        # every kernel vector is read off the single prime: no lifting step
+        solves = _spy_solves(monkeypatch)
+        assert len(exact_right_null_vectors(sp, nc, lu=lu)) == len(free)
+        assert not solves
 
 
     def test_rational_kernel_read_off_one_prime(self, rng, monkeypatch):
         # M = [2B | B w]: the kernel vector with 1 in the last column is
         # (-w/2, 1), so the symmetric lift fails and Wang reconstruction at
-        # the single prime recovers it; Dixon never runs
+        # the single prime recovers it; Dixon never lifts past step 1
         b = [[rng.randint(-3, 3) for _ in range(11)] for _ in range(30)]
         w = [2 * rng.randint(-3, 3) + 1 for _ in range(11)]
         m = [[2 * x for x in row] + [sum(x * y for x, y in zip(row, w))] for row in b]
         assert rank_bareiss(m) == 11
-        dixon = _spy(monkeypatch, "_dixon_null_vectors")
+        solves = _spy_solves(monkeypatch)
         (v,) = exact_right_null_vectors(m, 1, seed=4)
-        assert not dixon
+        assert not solves
         assert v in ([-x for x in w] + [2], w + [-2])
 
 
@@ -396,6 +411,23 @@ class TestReconstruction:
             for v in vecs:
                 assert any(v)
                 assert not any(sp.matvec(v))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 30), st.integers(2, 30), st.data())
+    def test_null_vectors_independent(self, nrows, ncols, data):
+        # a low-rank product with scaled columns, so that some kernel vectors
+        # have rational coordinates against their unit free entry: whatever
+        # is returned is exact kernel vectors, and independent ones, so their
+        # count bounds the nullity from below
+        k = data.draw(st.integers(1, min(nrows, ncols) - 1), label="k")
+        rng2 = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        m = rng2.integers(-3, 4, size=(nrows, k)) @ rng2.integers(-3, 4, size=(k, ncols))
+        sp = SparseCols.from_dense((m * rng2.integers(1, 4, size=ncols)).tolist())
+        want = ncols - rank_bareiss(sp)
+        vecs = exact_right_null_vectors(sp, want, seed=data.draw(st.integers(0, 99), label="p"))
+        assert len(vecs) <= want
+        assert all(any(v) and not any(sp.matvec(v)) for v in vecs)
+        assert rank_bareiss(vecs) == len(vecs)
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -448,12 +480,13 @@ class TestExactRankInfo:
         a = rng2.integers(-2, 3, size=(320, 230))
         b = rng2.integers(-2, 3, size=(230, 300))
         m = (a @ b).tolist()
-        dixon = _spy(monkeypatch, "_dixon_null_vectors")
+        solves = _spy_solves(monkeypatch)
         info = exact_rank_info(m)
         assert info.certified
         assert info.rank == 230
-        # this kernel's entries are far too large for a single prime
-        assert sum(len(args[2]) for args, _, _ in dixon) == 70
+        # this kernel's entries are far too large for a single prime: all 70
+        # vectors are lifted past step 1, in one batch
+        assert solves[0] == (230, 70)
 
     def test_huge_entries_certified_by_dixon(self, monkeypatch):
         # M = [B | B w] with |B| < 2^40: the kernel vector (-w, 1) is too large
@@ -465,13 +498,15 @@ class TestExactRankInfo:
              for _ in range(136)]
         sp = SparseCols.from_dense([row + [sum(x * y for x, y in zip(row, w))] for row in b])
         assert not _int64_safe(sp, min(SMALL_PRIMES))
-        dixon = _spy(monkeypatch, "_dixon_null_vectors")
+        nullcert = _spy(monkeypatch, "exact_right_null_vectors")
+        solves = _spy_solves(monkeypatch)
         info = exact_rank_info(sp)
         assert info.certified and info.method == "peel+modular+nullcert"
         assert info.rank == 136
         kernel = [-x for x in w] + [1]
-        ((_, _, vecs),) = dixon
+        ((_, _, vecs),) = nullcert
         assert vecs in ([kernel], [[-x for x in kernel]])
+        assert solves  # lifted past step 1
 
     def test_large_nullity_certified(self):
         # nullity 170: every kernel vector must be certified, however many
@@ -502,14 +537,18 @@ class TestExactRankInfo:
         lu = _BlockedLU(_dense_mod(sp, p), p)
         assert lu.rank == k
         free, basis = lu.kernel_basis(shape[1])
-        lifted = [_lift_null_vector(sp, basis[:, j].astype(np.int64).tolist(), p)
+        recons = [_try_reconstruct_vector(basis[:, j].astype(np.int64).tolist(), p)
                   for j in range(len(free))]
-        assert any(v is None for v in lifted)
+        assert any(recon is None or any(sp.matvec(recon[0])) for recon in recons)
 
         nullcert = _spy(monkeypatch, "exact_right_null_vectors")
+        solves = _spy_solves(monkeypatch)
         info = exact_rank_info(sp)
         assert info.certified and info.method == "peel+modular+nullcert"
         assert info.rank == rank_bareiss(sp) == k + 1
+        # a column whose pivot solution is exact but no kernel vector is
+        # dropped at once rather than lifted to DIXON_MAX_STEPS
+        assert len(solves) < ranks.DIXON_MAX_STEPS
         (_, first, vecs_p), (_, second, vecs) = nullcert
         assert first["lu"].p == p and len(vecs_p) < shape[1] - k
         assert second["lu"].p != p and len(vecs) == shape[1] - k - 1

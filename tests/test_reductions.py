@@ -4,6 +4,7 @@ small instances and spot-checked in the middle range."""
 import pytest
 
 from wlpgraph import LinearForm, from_graph, hilbert_series, lollipop, multiplication_map, path
+from wlpgraph import algebra as algebra_module
 from wlpgraph import ranks, reductions
 from wlpgraph.symmetry import involution_group, symmetric_blocks
 
@@ -135,9 +136,12 @@ def test_reflection_blocks_split_the_rank(n):
 
 @pytest.fixture
 def fresh_ell2_cache():
-    reductions.path_ell2_rank.cache_clear()
+    # the path algebras keep their own memo of certified ranks
+    for fn in (reductions.path_ell2_rank, reductions._path_algebra):
+        fn.cache_clear()
     yield
-    reductions.path_ell2_rank.cache_clear()
+    for fn in (reductions.path_ell2_rank, reductions._path_algebra):
+        fn.cache_clear()
 
 
 def test_wrong_odd_block_raises_under_recording(monkeypatch, fresh_ell2_cache):
@@ -150,7 +154,7 @@ def test_wrong_odd_block_raises_under_recording(monkeypatch, fresh_ell2_cache):
     a = from_graph(path(10))
     assert ranks.rank_bareiss(_path_blocks(10, 2)[1]) == 14
     assert ranks.rank_bareiss(wrong(a, involution_group(a.graph), 2, 2)[1]) == 1
-    monkeypatch.setattr(reductions, "symmetric_blocks", wrong)
+    monkeypatch.setattr(algebra_module, "symmetric_blocks", wrong)
     with ranks.recording([]):
         with pytest.raises(ranks.RankComputationError, match="P_10 at degree 2"):
             reductions.path_ell2_rank(10, 2)

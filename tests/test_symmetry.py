@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wlpgraph import LinearForm, custom, from_graph, lefschetz, multiplication_map, ranks, symmetry
+from wlpgraph import LinearForm, custom, from_graph, multiplication_map, ranks, symmetry
+from wlpgraph import algebra as algebra_module
 from wlpgraph.lefschetz import wlp_report
 from wlpgraph.symmetry import involution_group, symmetric_blocks
 
@@ -121,7 +122,7 @@ def test_asymmetric_graph_is_not_split(monkeypatch):
                      if {frozenset((p[u], p[v])) for u, v in edges} == set(g.edges)]
     assert automorphisms == [tuple(range(6))]
     assert involution_group(g) == ()
-    monkeypatch.setattr(lefschetz, "symmetric_blocks", None)  # never reached
+    monkeypatch.setattr(algebra_module, "symmetric_blocks", None)  # never reached
     a = from_graph(g)
     report = wlp_report(a)
     ell = LinearForm.all_ones(6)
@@ -133,13 +134,13 @@ def test_asymmetric_graph_is_not_split(monkeypatch):
 
 def test_split_report_assembles_no_unsplit_map(monkeypatch):
     calls = []
-    real = lefschetz.multiplication_map
+    real = algebra_module.multiplication_map
 
     def spy(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(lefschetz, "multiplication_map", spy)
+    monkeypatch.setattr(algebra_module, "multiplication_map", spy)
     report = wlp_report(from_graph(_relabelled_cycle(12, 2)))
     assert not calls
     assert report.failing_degrees == ((3, "surjectivity"),)
@@ -158,7 +159,7 @@ def test_forged_block_raises_under_recording(monkeypatch):
     g = _relabelled_cycle(10, 2)
     with ranks.recording([]):
         assert wlp_report(from_graph(g)).has_wlp
-    monkeypatch.setattr(lefschetz, "symmetric_blocks", forged)
+    monkeypatch.setattr(algebra_module, "symmetric_blocks", forged)
     registry = []
     with ranks.recording(registry):
         with pytest.raises(ranks.RankComputationError, match="disagrees with engine rank"):

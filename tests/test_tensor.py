@@ -209,13 +209,19 @@ class TestVerdicts:
         # inner map is built once, not once per n
         inner = from_graph(path(6))  # dims (1, 6, 10, 4)
         real = algebra_module.multiplication_map
+        real_blocks = algebra_module.symmetric_blocks
         built = []
 
         def spy(a, ell, i, t=1):
             built.append((a, i, t))
             return real(a, ell, i, t)
 
+        def spy_blocks(a, gens, i, t):  # the inner path's maps, split by its reflection
+            built.append((a, i, t))
+            return real_blocks(a, gens, i, t)
+
         monkeypatch.setattr(algebra_module, "multiplication_map", spy)
+        monkeypatch.setattr(algebra_module, "symmetric_blocks", spy_blocks)
         monkeypatch.setattr(tensor, "multiplication_map", spy)
         for n in (1, 2, 3):
             tb = tensor_with_squarefree_block(n, inner)
