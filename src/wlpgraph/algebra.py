@@ -291,8 +291,6 @@ class GradedMap:
     matrix: ranks.SparseCols
     form: LinearForm
 
-    _rank_info: ranks.RankInfo | None = None
-
     @property
     def shape(self) -> tuple[int, int]:
         return (self.matrix.nrows, self.matrix.ncols)
@@ -306,9 +304,8 @@ class GradedMap:
 
     @property
     def rank_info(self) -> ranks.RankInfo:
-        if self._rank_info is None:
-            self._rank_info = ranks.exact_rank_info(self.matrix)
-        return self._rank_info
+        """The engine's outcome, computed on each read."""
+        return ranks.exact_rank_info(self.matrix)
 
     def to_json_dict(self) -> dict:
         return self.matrix.to_json_dict(rank=self.rank)

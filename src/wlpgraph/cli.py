@@ -68,15 +68,17 @@ def _parse_range(text: str) -> range:
     return range(lo, hi + 1)
 
 
-def _parse_jobs(text: str) -> int:
-    """``--jobs``: validated (an integer, at least 1) but otherwise unused."""
-    try:
-        jobs = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
-    return jobs
+def _int_at_least(lo: int):
+    """An argparse type: an integer, at least ``lo``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {value}")
+        return value
+    return parse
 
 
 def cmd_indpoly(args) -> int:
@@ -208,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--output", choices=("text", "json"), default="text")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
                         help="seed for randomized suites")
-    parser.add_argument("--jobs", type=_parse_jobs, default=1,
+    parser.add_argument("--jobs", type=_int_at_least(1), default=1,
                         help="accepted for compatibility (at least 1); has no effect: "
                              "every command runs in one process")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -229,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="tensor block-matrix verdicts: predicted vs direct")
     group = p_blk.add_mutually_exclusive_group()
     group.add_argument("--gens-file", metavar="FILE")
-    group.add_argument("--random", type=int, default=5, metavar="COUNT",
+    group.add_argument("--random", type=_int_at_least(0), default=5, metavar="COUNT",
                        help="number of random inner algebras")
     p_blk.add_argument("--block-vars", type=int, nargs="+", default=[1, 2, 3],
                        metavar="N", help="sizes of the quadratic block")

@@ -706,16 +706,14 @@ def _int64_safe(sp: SparseCols, p: int) -> bool:
     return sp.max_abs() * max(sp.nrows, sp.ncols, 1) * p < (1 << 62)
 
 
-def exact_right_null_vectors(matrix, count: int, seed: int = 0,
-                             lu: _BlockedLU | None = None) -> list[list[int]]:
+def exact_right_null_vectors(matrix, count: int, lu: _BlockedLU) -> list[list[int]]:
     """Up to ``count`` independent integer vectors v with M v = 0, each verified
     in exact arithmetic.
 
-    All of them come from one LU of M modulo a small prime: ``lu`` when the
-    caller has factored M already, else a fresh one at a prime drawn from
-    ``seed``.  Back substitution of U gives a kernel basis mod p in which
-    vector k carries the k-th non-pivot column's unit coordinate, so the
-    vectors are independent.  Its pivot entries solve the pivot system mod p:
+    All of them come from ``lu``, the caller's LU of M modulo a small prime p.
+    Back substitution of U gives a kernel basis mod p in which vector k
+    carries the k-th non-pivot column's unit coordinate, so the vectors are
+    independent.  Its pivot entries solve the pivot system mod p:
     step 1 of Dixon's p-adic lifting on the same factors.  One loop
     reconstructs each vector at p, p^2, p^4, ... and checks it by one exact
     product: zero everywhere keeps it; zero on the pivot rows only makes it
@@ -727,9 +725,6 @@ def exact_right_null_vectors(matrix, count: int, seed: int = 0,
     sp = _coerce(matrix)
     if sp.ncols == 0:
         return []
-    if lu is None:
-        p = SMALL_PRIMES[random.Random(seed).randrange(len(SMALL_PRIMES))]
-        lu = _BlockedLU(_dense_mod(sp, p), p)
     p = lu.p
     free, basis = lu.kernel_basis(count)
     rows, cols = lu.perm[:lu.rank].tolist(), lu.col_perm[lu.piv_pos].tolist()
@@ -911,7 +906,7 @@ def _exact_rank_info_inner(sp: SparseCols, seed: int) -> RankInfo:
         # the prime bounds the rank from below; exact kernel vectors of the
         # same factorization cap it from above
         r = lu.rank
-        vecs = exact_right_null_vectors(tall, mind - r, seed, lu=lu)
+        vecs = exact_right_null_vectors(tall, mind - r, lu=lu)
         if len(vecs) == mind - r:
             return RankInfo(base + r, True, "peel+modular+nullcert", shape, nnz)
     return RankInfo(base + r, False, "modular-consensus", shape, nnz)

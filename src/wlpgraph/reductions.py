@@ -17,12 +17,16 @@ degree and m >= 2,
 
 The selector block commutes with the path maps (an independent set avoiding
 y_1 extends exactly the same way in either path), which is what lets the
-coupling be cleared.  Since P_{n+2} is the lollipop with m = 2, the same
-identity recursively expresses every path ell-rank through ell^2 ranks of
-shorter paths; those ell^2 ranks are the only eliminations actually run, and
-they are certified exactly by the rank engine.  Each is first split by the
-reflection of the path into a sigma-even and a sigma-odd block, of about
-half the size each, whose ranks add up to it.
+coupling be cleared.  P_{n+2} is the lollipop with m = 2, so the path
+ell-rank is this formula at m = 2, and every path ell-rank comes down to
+ell^2 ranks of shorter paths; those are the only eliminations actually run.
+Each is split by the reflection of the path into a sigma-even and a
+sigma-odd block, of about half the size each, whose certified ranks add up.
+
+The one cache here, ``_path_algebra``, keeps each path algebra for the life
+of the process; it holds the path's graded dimensions and, in the memo of
+:meth:`MonomialAlgebra.map_rank`, its certified ranks.  Clearing it forces
+every path rank to be computed again.
 
 Everything here is validated against the generic engine over small and
 medium instances in the test suite.
@@ -35,20 +39,16 @@ from functools import lru_cache
 from . import ranks
 from .algebra import LinearForm, MonomialAlgebra, from_graph, multiplication_map
 from .graphs import path
-from .indpoly import independence_polynomial
 
 
 @lru_cache(maxsize=None)
-def path_dims(n: int) -> tuple[int, ...]:
-    """Graded dimensions of the path algebra A(P_n); P_0 is the base field."""
-    if n == 0:
-        return (1,)
-    return independence_polynomial(path(n)).coeffs
-
-
-@lru_cache(maxsize=8)
 def _path_algebra(n: int) -> MonomialAlgebra:
     return from_graph(path(n))
+
+
+def path_dims(n: int) -> tuple[int, ...]:
+    """Graded dimensions of the path algebra A(P_n); P_0 is the base field."""
+    return _path_algebra(n).dims if n else (1,)
 
 
 def path_ell_matrix(n: int, i: int) -> ranks.SparseCols:
@@ -56,7 +56,6 @@ def path_ell_matrix(n: int, i: int) -> ranks.SparseCols:
     return multiplication_map(_path_algebra(n), LinearForm.all_ones(n), i).matrix
 
 
-@lru_cache(maxsize=None)
 def path_ell2_rank(n: int, j: int) -> int:
     """Exact rank of ell^2: [A(P_n)]_j -> [A(P_n)]_{j+2}, engine-certified.
 
@@ -76,24 +75,12 @@ def path_ell2_rank(n: int, j: int) -> int:
         raise ranks.RankComputationError(f"{exc} for {what}") from exc
 
 
-@lru_cache(maxsize=None)
 def path_ell_rank(n: int, i: int) -> int:
-    """Exact rank of the all-ones multiplication [A(P_n)]_i -> [A(P_n)]_{i+1}.
-
-    Computed through the lollipop reduction with m = 2 (P_n is L_{2,n-2});
-    only ell^2 ranks of shorter paths are ever eliminated.
-    """
-    if n <= 0 or i < 0:
-        return 0
-    dims = path_dims(n)
-    if i + 1 >= len(dims):
-        return 0
-    if i == 0:
-        return 1
-    # n >= 3 here: paths of length <= 2 have socle degree 1
-    inner = path_dims(n - 2)
-    h_i = inner[i] if i < len(inner) else 0
-    return h_i + path_ell_rank(n - 3, i - 1) + path_ell2_rank(n - 2, i - 1)
+    """Exact rank of the all-ones multiplication [A(P_n)]_i -> [A(P_n)]_{i+1}:
+    the lollipop formula at m = 2, since P_n is L_{2,n-2}."""
+    if n <= 2:  # socle degree 1 at most: only the map from degree 0 is nonzero
+        return int(n > 0 and i == 0)
+    return lollipop_ell_rank(2, n - 2, i)
 
 
 def lollipop_ell_rank(m: int, n: int, i: int) -> int:
@@ -102,29 +89,16 @@ def lollipop_ell_rank(m: int, n: int, i: int) -> int:
         raise ValueError("lollipop parameters must be positive")
     if m == 1:
         return path_ell_rank(n + 1, i)
-    if m == 2:
-        return path_ell_rank(n + 2, i)
-    if i < 0:
-        return 0
-    alpha = _lollipop_socle(m, n)
-    if i + 1 > alpha:
+    dims = path_dims(n)
+    # the socle degree of L_{m,n}, m >= 2, is alpha(P_n) + 1 = len(dims)
+    if i < 0 or i + 1 > len(dims):
         return 0
     if i == 0:
         return 1
-    dims = path_dims(n)
-    h_i = dims[i] if i < len(dims) else 0
-    return (
-        h_i
-        + (m - 2) * path_ell_rank(n, i - 1)
-        + path_ell_rank(n - 1, i - 1)
-        + path_ell2_rank(n, i - 1)
-    )
-
-
-def _lollipop_socle(m: int, n: int) -> int:
-    # independence number of L_{m,n} for m >= 2: one clique vertex plus a
-    # maximum independent set of the path, so alpha(P_n) + 1
-    return len(path_dims(n))
+    rank = dims[i]
+    if m > 2:  # at m = 2 the clique term is zero: skip its recursion
+        rank += (m - 2) * path_ell_rank(n, i - 1)
+    return rank + path_ell_rank(n - 1, i - 1) + path_ell2_rank(n, i - 1)
 
 
 def lollipop_dims(m: int, n: int) -> tuple[int, ...]:

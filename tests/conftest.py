@@ -74,10 +74,7 @@ def starved_engine(monkeypatch):
     ``modular-consensus``, with the LU's rank as an uncertified lower bound."""
     monkeypatch.setattr(ranks, "exact_right_null_vectors", lambda *args, **kwargs: [])
     monkeypatch.setattr(ranks, "BAREISS_OPS_CAP", 0)
-    # the path algebras keep their own memo of certified ranks
-    cached = (reductions.path_ell2_rank, reductions.path_ell_rank, reductions._path_algebra)
-    for fn in cached:
-        fn.cache_clear()
+    # the path algebras hold the only memo of certified path ranks
+    reductions._path_algebra.cache_clear()
     yield
-    for fn in cached:
-        fn.cache_clear()
+    reductions._path_algebra.cache_clear()

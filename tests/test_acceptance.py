@@ -5,8 +5,9 @@ The whole module runs inside a single engine-recording scope: every rank the
 engine computes anywhere in these criteria is registered, matrices small
 enough for the arbitrary-precision route are re-ranked with both Bareiss and
 the >2^30 modular engine (a disagreement raises immediately), and the final
-cross-validation criterion audits the registry.  Structured-rank caches are
-cleared first so nothing computed by the unit tests leaks in.
+cross-validation criterion audits the registry.  The path algebras, which
+hold the structured ranks, are cleared first so nothing computed by the unit
+tests leaks in.
 """
 
 import time
@@ -22,10 +23,7 @@ _registry: list = []
 
 @pytest.fixture(scope="module", autouse=True)
 def recording_scope():
-    reductions.path_ell_rank.cache_clear()
-    reductions.path_ell2_rank.cache_clear()
     reductions._path_algebra.cache_clear()  # and the ranks its algebras keep
-    reductions.path_dims.cache_clear()
     mode_of_path.cache_clear()
     with ranks.recording(_registry):
         yield

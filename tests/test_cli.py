@@ -143,6 +143,12 @@ class TestBlockcheck:
         code, out = run_cli(capsys, ["blockcheck", "--gens-file", str(f), "--block-vars", "2"])
         assert code == 0
 
+    def test_negative_count_rejected(self, capsys):
+        assert main(["blockcheck", "--random", "-1"]) == 2
+        assert "--random: must be at least 0, got -1" in capsys.readouterr().err
+        code, out = run_cli(capsys, ["blockcheck", "--random", "0"])
+        assert code == 0 and "(0 degree verdicts)" in out
+
 
 class TestErrors:
     def test_missing_source(self, capsys):

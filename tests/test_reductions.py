@@ -136,12 +136,10 @@ def test_reflection_blocks_split_the_rank(n):
 
 @pytest.fixture
 def fresh_ell2_cache():
-    # the path algebras keep their own memo of certified ranks
-    for fn in (reductions.path_ell2_rank, reductions._path_algebra):
-        fn.cache_clear()
+    # the path algebras hold the only memo of certified path ranks
+    reductions._path_algebra.cache_clear()
     yield
-    for fn in (reductions.path_ell2_rank, reductions._path_algebra):
-        fn.cache_clear()
+    reductions._path_algebra.cache_clear()
 
 
 def test_wrong_odd_block_raises_under_recording(monkeypatch, fresh_ell2_cache):
@@ -169,3 +167,14 @@ def test_split_rank_is_recorded_and_crosschecked(fresh_ell2_cache):
     # the two blocks, then the unsplit matrix of the cross-check
     assert [info.shape for info in registry] == [(19, 20), (16, 16), (35, 36)]
     assert all(info.certified and info.crosscheck for info in registry)
+
+
+def test_clearing_the_path_algebras_forces_every_rank_again(fresh_ell2_cache):
+    # a rank memoized outside any recording scope must not hide the engine
+    # calls of a later recorded run once the path algebras are cleared
+    r = reductions.path_ell2_rank(10, 2)
+    reductions._path_algebra.cache_clear()
+    registry = []
+    with ranks.recording(registry):
+        assert reductions.path_ell2_rank(10, 2) == r
+    assert [info.shape for info in registry] == [(19, 20), (16, 16), (35, 36)]
