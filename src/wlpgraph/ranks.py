@@ -5,30 +5,25 @@ arbitrary-precision integers -- unconditional -- in their wide orientation,
 with partial pivoting on magnitude (smallest nonzero pivot, to limit entry
 growth) and each row's scaling deferred until it is next eliminated.
 
-Larger ones are peeled of singleton rows and columns (an exact rank split)
-and the core is factored once, in its tall orientation, by a blocked LU
-modulo a small prime.  That one factorization gives both halves of the
-certificate:
+Larger ones are peeled of singleton rows and columns (an exact rank split),
+and the rows of the core, in its tall orientation, are streamed in blocks
+through a reduced row echelon form [I | X] modulo a prime p < 2^20
+(:func:`_echelon`), holding only X and one row block.  Pivots are leftmost,
+so the pivot set is the column rank profile mod p.  The echelon form gives
+both halves of the certificate: the rank mod p, a lower bound for the
+rational rank (a nonzero minor mod p is nonzero over Z), which settles full
+rank on its own; and for a deficient core the kernel basis mod p [-X; I],
+whose vectors, rationally reconstructed and checked exactly, cap the rank
+(:func:`exact_right_null_vectors`, with a CRT fallback over more primes).
 
-* the rank mod p, a lower bound for the rational rank (a nonzero minor mod
-  p is nonzero over Z), which settles full rank on its own;
-* for a deficient core of any nullity, a kernel basis mod p read from the
-  same echelon form by back substitution of U over the free columns.  One
-  loop certifies it: the basis is step 1 of Dixon's p-adic lifting on the
-  pivot block of the same factors, each vector is rationally reconstructed
-  at p, p^2, p^4, ... and checked by one exact product, and only the vectors
-  that need it are lifted further, in int64 where that cannot overflow and
-  in Python integers otherwise.  A verified set of independent null vectors
-  caps the rank.  If a prime is unlucky the next one is tried.
-  A core whose dense image would exceed ``DENSE_ELEMS_CAP`` is not ranked:
-  :func:`_dense_mod` raises :class:`UncertifiedRankError` instead.
-
-The LU runs over float64 with primes below 2^23, so panel updates become BLAS
-matrix products.  Residues are kept centred, |r| <= p/2 + 2, by one
-``x - rint(x/p) * p`` step, and reduction is delayed to where exactness needs
-it: a panel update adds at most 64 (p/2 + 2)^2 < 2^51 to an entry, so the
-trailing block takes several updates unreduced, with a running bound on its
-entries, and is reduced only when the next one could pass 2^53 - p.  The
+The elimination runs over float64, so its products are BLAS matrix
+products.  Residues are kept centred, |x| <= h = p//2 + 2 < 2^19 + 2
+(:func:`_reduce`), so a product with inner dimension K is exact while
+K h^2 + p < 2^53, that is for K <= 2^14 = ``_EXACT_TERMS``; longer products
+are split into pieces of that many terms, with a reduction between them.
+The memory budget counts the elements an elimination holds: X, at most n^2/4
+for n columns, and ``_BLOCK * n`` of the row block; one over
+``DENSE_ELEMS_CAP`` raises :class:`UncertifiedRankError` instead.  The
 separate :func:`rank_modular` route, an independent cross-check of the
 Bareiss route, row-reduces one dense int64 image modulo random primes above
 2^30, drawn once per seed, and stops at the first prime that reaches full
@@ -41,23 +36,23 @@ import random
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import islice
 from math import gcd, isqrt
+from typing import NamedTuple
 
 import numpy as np
 
-# Blocked-LU panel width.  With an odd p < 2^23 a centred residue has
-# |r| <= h = p//2 + 2 <= 2^22 + 1, so one panel update adds at most
-# 64 h^2 < 2^51 to an entry (see _BlockedLU); float64 is exact below 2^53.
-_PANEL = 64
-_SMALL_PRIME_BOUND = 1 << 23
-# Elements per row block of the in-place reductions and trailing updates.
-_REDUCE_BLOCK = 1 << 16
+# Rows per streamed block, and per leaf of a block's echelonization.
+_BLOCK = 256
+_LEAF = 16
+# Inner terms of an exact float64 product of centred residues mod p < 2^20.
+_EXACT_TERMS = 1 << 14
 
 # Route-selection and memory caps (correctness never depends on them: the
 # first picks which exact route runs, the second which matrices are refused).
 BAREISS_OPS_CAP = 1_000_000  # rows*cols*min budget for Bareiss (so min dim <= 100)
-DENSE_ELEMS_CAP = 70_000_000  # budget of every dense image (~560 MB in float64)
-DIXON_MAX_STEPS = 700
+DENSE_ELEMS_CAP = 70_000_000  # budget of the elements an elimination holds (~560 MB in float64)
+CRT_MAX_PRIMES = 805  # fallback primes of the null-vector certificate (~2^16000)
 
 CROSSCHECK_CAP = 110       # registry mode: run Bareiss + >2^30 modular up to this min-dim
 
@@ -68,7 +63,7 @@ class RankComputationError(RuntimeError):
 
 class UncertifiedRankError(RuntimeError):
     """An exact rank was asked for but not certified: the engine only bounded
-    it from below, or the matrix's dense image would exceed the budget."""
+    it from below, or its elimination would exceed the memory budget."""
 
 
 # ---------------------------------------------------------------------------
@@ -252,17 +247,12 @@ def _is_probable_prime(n: int) -> bool:
     return True
 
 
-def _primes_below(limit: int, count: int) -> tuple[int, ...]:
-    out = []
-    n = limit - 1
-    while len(out) < count:
-        if _is_probable_prime(n):
-            out.append(n)
-        n -= 2 if n % 2 else 1
-    return tuple(out)
+def _primes_down(n: int):
+    """The primes below n, descending, made as they are asked for."""
+    return (k for k in range(n - 1 - n % 2, 2, -2) if _is_probable_prime(k))
 
 
-SMALL_PRIMES: tuple[int, ...] = _primes_below(_SMALL_PRIME_BOUND, 60)
+SMALL_PRIMES: tuple[int, ...] = tuple(islice(_primes_down(1 << 20), 60))
 
 
 def random_primes(lo: int, hi: int, count: int, rng: random.Random) -> list[int]:
@@ -348,26 +338,39 @@ def _peel(sp: SparseCols):
 
 
 # ---------------------------------------------------------------------------
-# dense modular elimination
+# streamed echelon form modulo a prime
+
+
+def _budget(sp: SparseCols, held: int) -> None:
+    """Refuse an elimination of sp that would hold over ``DENSE_ELEMS_CAP`` elements."""
+    if held > DENSE_ELEMS_CAP:
+        raise UncertifiedRankError(
+            f"elimination of {sp.nrows}x{sp.ncols} exceeds the budget of "
+            f"{DENSE_ELEMS_CAP} elements (DENSE_ELEMS_CAP): it would hold {held}")
 
 
 def _dense_mod(sp: SparseCols, p: int | None, dtype=np.float64) -> np.ndarray:
-    """Dense image of sp with entries reduced into [0, p) (exact if p is None).
-
-    Every dense image of the engine is made here, so this is where the memory
-    budget holds: an image of more than ``DENSE_ELEMS_CAP`` elements raises
-    :class:`UncertifiedRankError`, naming its shape, before it is allocated.
-    """
-    if sp.nrows * sp.ncols > DENSE_ELEMS_CAP:
-        raise UncertifiedRankError(
-            f"dense image {sp.nrows}x{sp.ncols} exceeds the budget of "
-            f"{DENSE_ELEMS_CAP} elements (DENSE_ELEMS_CAP)")
+    """Dense image of sp with entries reduced into [0, p) (exact if p is None)."""
+    _budget(sp, sp.nrows * sp.ncols)
     a = np.zeros((sp.nrows, sp.ncols), dtype=dtype)
     rows = [i for col in sp.cols for i, _ in col]
     cols = [j for j, col in enumerate(sp.cols) for _ in col]
     vals = [v for col in sp.cols for _, v in col]
     a[rows, cols] = vals if p is None else [v % p for v in vals]
     return a
+
+
+def _row_blocks(sp: SparseCols, vals: np.ndarray):
+    """Per block of ``_BLOCK`` rows of sp: its row count, and the row within
+    it, column and value (from ``vals``, in column order) of its nonzeros."""
+    rows = np.array([i for col in sp.cols for i, _ in col], dtype=np.int64)
+    order = np.argsort(rows)
+    cols = np.repeat(np.arange(sp.ncols), [len(col) for col in sp.cols])[order]
+    rows, vals = rows[order], vals[order]
+    starts = np.searchsorted(rows, np.arange(0, sp.nrows + _BLOCK, _BLOCK))
+    for k, i0 in enumerate(range(0, sp.nrows, _BLOCK)):
+        s = slice(starts[k], starts[k + 1])
+        yield min(_BLOCK, sp.nrows - i0), rows[s] - i0, cols[s], vals[s]
 
 
 def _reduce(x: np.ndarray, fp: float) -> np.ndarray:
@@ -377,32 +380,11 @@ def _reduce(x: np.ndarray, fp: float) -> np.ndarray:
     Computes x - q * p with q = rint(x * (1/p)).  The computed quotient is
     within |x/p| * 2^-52 < 2/p of x/p, so |x/p - q| <= 1/2 + 2/p, that is
     |x - q * p| <= p/2 + 2; and |q * p| <= |x| + p/2 + 2 <= 2^53, so every
-    step is exact.  The work runs a block of rows at a time, so no temporary
-    larger than ``_REDUCE_BLOCK`` elements is allocated.
+    step is exact.
     """
-    step = max(1, _REDUCE_BLOCK * x.shape[0] // max(x.size, 1))
-    buf = np.empty((min(step, x.shape[0]),) + x.shape[1:])
-    for i0 in range(0, x.shape[0], step):
-        blk = x[i0:i0 + step]
-        q = buf[:blk.shape[0]]
-        np.multiply(blk, 1.0 / fp, out=q)
-        np.rint(q, out=q)
-        q *= fp
-        blk -= q
+    q = x * (1.0 / fp)
+    x -= np.multiply(np.rint(q, out=q), fp, out=q)
     return x
-
-
-def _sub_product(c: np.ndarray, left: np.ndarray, right: np.ndarray):
-    """c <- c - left @ right in place, a block of rows at a time, so the
-    product never needs a temporary as large as c.  No reduction: the caller
-    keeps every entry within 2^53 - p."""
-    step = max(1, _REDUCE_BLOCK // max(c.shape[1], 1))
-    buf = np.empty((min(step, c.shape[0]), c.shape[1]))
-    for i0 in range(0, c.shape[0], step):
-        blk = c[i0:i0 + step]
-        prod = buf[:blk.shape[0]]
-        np.matmul(left[i0:i0 + step], right, out=prod)
-        blk -= prod
 
 
 def _rank_mod_p_int64(a: np.ndarray, p: int) -> int:
@@ -427,194 +409,92 @@ def _rank_mod_p_int64(a: np.ndarray, p: int) -> int:
     return r
 
 
-class _BlockedLU:
-    """In-place blocked LU mod p (p < 2^23) over float64 with BLAS updates.
+class _Echelon(NamedTuple):
+    """Reduced row echelon form mod p: row i has a 1 in column ``piv[i]``,
+    0 in the other pivots and ``x[i]`` in the columns ``free`` (ascending), so
+    A[:, free] = A[:, piv] x mod p and [-x; I] spans the kernel mod p."""
 
-    Handles rectangular, rank-deficient input whose entries are residues,
-    |a| < p.  On return P A Q = L U mod p: row k of the factors is row
-    ``perm[k]`` of A, column c is column ``col_perm[c]``, L is unit lower
-    triangular and U (``rank`` rows) is in row echelon form.  Both share
-    ``a``, whose entries stay residues (centred or in [0, p)).  Each panel's
-    pivots fill one square block, recorded in ``panels`` as (r0, r1, k0):
-    pivots r0..r1-1 sit in columns k0..k0+r1-r0-1, and the panel's non-pivot
-    columns follow them.  The pivot rows and columns give a nonsingular
-    r x r system that :meth:`solve` solves; :meth:`kernel_basis` reads the
-    kernel.
+    p: int
+    piv: np.ndarray
+    free: np.ndarray
+    x: np.ndarray
 
-    Reduction is delayed to where exactness needs it.  Let h = p//2 + 2, the
-    bound of a centred residue from :func:`_reduce`; an odd p < 2^23 gives
-    h <= 2^22 + 1.  Every product the factorization forms sums at most
-    ``_PANEL`` = 64 terms whose factors are residues, |x| < p, so it stays
-    below 64 p^2 < 2^52 and is exact.  The trailing update subtracts
-    L21 @ U12 with both factors centred, which moves an entry by at most
-    64 h^2 < 2^51.  So the trailing block is not reduced after an update: a
-    running bound on its entries is kept, and the block is reduced only when
-    the next update could take it past 2^53 - p, the limit of
-    :func:`_reduce`.  The primes of ``SMALL_PRIMES`` lie within 2^14 of
-    2^23, so h < 2^22, 64 h^2 < 2^50 and p + 8 * 64 h^2 < 2^53 - p while
-    9 * 64 h^2 > 2^53: the block is reduced once every eight panels.  A
-    panel's columns are reduced as they are copied out, and its U row block
-    before and after the product with L11^-1.
 
-    Within a panel the multiplier columns are stored unscaled (pivot times
-    multiplier): each column step applies the pivot inverses to the
-    length-t vector of U entries and to the new row of L11^-1, and L21 and
-    the strict lower part of L11 are scaled once when the panel is done.
-    """
+def _absorb(x: np.ndarray, new: np.ndarray, y: np.ndarray, fp: float, out=None) -> np.ndarray:
+    """Echelon rows x joined by rows y with pivots at x's columns ``new``:
+    [x[:, rest] - x[:, new] @ y; y] mod p, into the flat buffer ``out``, which
+    may hold x (a row moves only forward, so it is read before overwritten)."""
+    r, f = x.shape
+    rest = np.delete(np.arange(f), new)
+    shape = (r + new.size, rest.size)
+    res = np.empty(shape) if out is None else out[:shape[0] * shape[1]].reshape(shape)
+    for i0 in range(0, r, _BLOCK):
+        blk = x[i0:i0 + _BLOCK]
+        res[i0:i0 + len(blk)] = _reduce(blk[:, rest] - blk[:, new] @ y, fp)
+    res[r:] = y
+    return res
 
-    def __init__(self, a: np.ndarray, p: int):
-        if p >= _SMALL_PRIME_BOUND:
-            raise ValueError("blocked LU requires p < 2^23")
-        self.p = p
-        self.a = a
-        self.nrows, self.ncols = a.shape
-        self.perm = np.arange(self.nrows)
-        self.col_perm = np.arange(self.ncols)
-        self.piv_inv: list[int] = []
-        self.panels: list[tuple[int, int, int]] = []
-        self._factor()
 
-    def _factor(self):
-        a, p = self.a, self.p
-        nrows, ncols = self.nrows, self.ncols
-        fp = float(p)
-        h = p // 2 + 2  # bound of a centred residue
-        growth = _PANEL * h * h  # what one trailing update adds, at most
-        bound = p  # on the entries of the trailing block a[r:, k0:]
-        r = 0
-        k0 = 0
-        while k0 < ncols and r < nrows:
-            k1 = min(k0 + _PANEL, ncols)
-            r0 = r
-            w = k1 - k0
-            # factor the panel in a Fortran-order scratch block (contiguous
-            # columns); pivot columns are swapped to the panel front so the
-            # L/U blocks stay contiguous slices
-            panel = np.asfortranarray(_reduce(a[r0:, k0:k1], fp))
-            orig = list(range(k0, k1))
-            src = np.arange(r0, nrows)  # row of a that each panel row came from
-            linv = np.identity(w)  # inverse of the unit-lower multiplier triangle
-            inv = np.empty(w)  # pivot inverses
-            t = 0
-            for jl in range(w):
-                col = panel[:, jl]
-                if t:
-                    # panel[t:, :t] holds the multipliers times their pivots
-                    u = linv[:t, :t] @ col[:t] % fp
-                    col[:t] = u
-                    col[t:] -= panel[t:, :t] @ (u * inv[:t] % fp)
-                    _reduce(col[t:], fp)
-                if t == nrows - r0:
-                    continue
-                il = t + int((col[t:] != 0).argmax())
-                if not col[il]:
-                    continue
-                if il != t:
-                    panel[t], panel[il] = panel[il].copy(), panel[t].copy()
-                    src[t], src[il] = src[il], src[t]
-                if jl != t:
-                    panel[:, t], panel[:, jl] = col.copy(), panel[:, t].copy()
-                    orig[t], orig[jl] = orig[jl], orig[t]
-                piv = pow(int(panel[t, t]), -1, p)
-                self.piv_inv.append(piv)
-                inv[t] = piv
-                if t:
-                    linv[t, :t] = -((panel[t, :t] * inv[:t] % fp) @ linv[:t, :t]) % fp
-                t += 1
-            np_ = t
-            if np_:
-                lower = np.tril_indices(np_, -1)
-                panel[lower] = panel[lower] * inv[lower[1]] % fp
-                l21 = panel[np_:, :np_]
-                l21 *= inv[:np_]
-                _reduce(l21.T, fp)
-            # apply the panel's row swaps to the rest of the matrix
-            moved = np.flatnonzero(src != np.arange(r0, nrows))
-            if moved.size:
-                dst, rows = r0 + moved, src[moved]
-                a[dst, :k0] = a[rows, :k0]
-                a[dst, k1:] = a[rows, k1:]
-                self.perm[dst] = self.perm[rows]
-            # and its column swaps to the U rows above it
-            if r0 and orig != list(range(k0, k1)):
-                a[:r0, k0:k1] = a[:r0, orig]
-            self.col_perm[k0:k1] = orig
-            a[r0:, k0:k1] = panel
-            r = r0 + np_
-            if np_:
-                self.panels.append((r0, r, k0))
-                if k1 < ncols:
-                    ublk = _reduce(a[r0:r, k1:], fp)
-                    ublk[...] = linv[:np_, :np_] @ ublk
-                    _reduce(ublk, fp)
-                    if r < nrows:
-                        if bound + growth > (1 << 53) - p:
-                            _reduce(a[r:, k1:], fp)
-                            bound = h
-                        _sub_product(a[r:, k1:], panel[np_:, :np_], ublk)
-                        bound += growth
-            k0 = k1
-        self.rank = r
+def _rref(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Leftmost pivot columns and pivot rows (on the other columns) of the
+    reduced echelon form of the rows of ``a`` mod p, overwritten.  Halves are
+    joined by :func:`_absorb` down to ``_LEAF`` rows; there each row is
+    cleared on the pivots so far, its leftmost nonzero scaled to the new
+    pivot 1, and that column cleared from the earlier rows."""
+    fp, t = float(p), a.shape[0]
+    if t > _LEAF:
+        new1, y1 = _rref(a[:t // 2], p)
+        rest1 = np.delete(np.arange(a.shape[1]), new1)
+        low = a[t // 2:]
+        new2, y2 = _rref(_reduce(low[:, rest1] - low[:, new1] @ y1, fp), p)
+        return np.concatenate([new1, rest1[new2]]), _absorb(y1, new2, y2, fp)
+    piv: list[int] = []
+    for i, row in enumerate(a):
+        k = len(piv)
+        row -= row[piv] @ a[:k]
+        _reduce(row, fp)
+        nz = row.nonzero()[0]
+        if nz.size:
+            c = int(nz[0])
+            row *= pow(int(row[c]), -1, p)
+            _reduce(row, fp)
+            a[:k] -= a[:k, c, None] * row
+            _reduce(a[:k], fp)
+            a[[k, i]] = a[[i, k]]
+            piv.append(c)
+    piv = np.array(piv, dtype=np.int64)
+    return piv, np.delete(a[:piv.size], piv, axis=1)
 
-    @property
-    def piv_pos(self) -> list[int]:
-        """Factor column of each pivot."""
-        return [k0 + k for r0, r1, k0 in self.panels for k in range(r1 - r0)]
 
-    # -- exact mod-p solves on the pivot rows and columns ----------------------
-
-    def _block_dot(self, y: np.ndarray, r0: int, r1: int, panels):
-        """y[r0:r1] <- y[r0:r1] - sum of a[r0:r1, panel pivots] @ y[panel rows], mod p."""
-        blk = y[r0:r1]
-        for s0, s1, j0 in panels:
-            blk -= self.a[r0:r1, j0:j0 + s1 - s0] @ y[s0:s1]
-            _reduce(blk, float(self.p))
-
-    def solve(self, y: np.ndarray) -> np.ndarray:
-        """Solve (P A Q)[:r, piv_pos] x = y mod p in place: the pivot rows and
-        columns, so y is indexed like ``perm[:r]`` and x like
-        ``col_perm[piv_pos]``.
-        y holds residues in [0, p) and may carry several right-hand sides as
-        columns.  For a square matrix of full rank this solves A x = b with
-        y = b[perm]."""
-        a, fp = self.a, float(self.p)
-        for k, (r0, r1, k0) in enumerate(self.panels):  # forward, unit L
-            self._block_dot(y, r0, r1, self.panels[:k])
-            for i in range(r0 + 1, r1):
-                y[i] = (y[i] - a[i, k0:k0 + i - r0] @ y[r0:i]) % fp
-        return self._solve_upper(y)
-
-    def _solve_upper(self, x: np.ndarray) -> np.ndarray:
-        a, fp = self.a, float(self.p)
-        for k in range(len(self.panels) - 1, -1, -1):
-            r0, r1, k0 = self.panels[k]
-            self._block_dot(x, r0, r1, self.panels[k + 1:])
-            for i in range(r1 - 1, r0 - 1, -1):
-                c = k0 + i - r0
-                if i + 1 < r1:
-                    x[i] = (x[i] - a[i, c + 1:k0 + r1 - r0] @ x[i + 1:r1]) % fp
-                x[i] = x[i] * self.piv_inv[i] % fp
-        return x
-
-    def kernel_basis(self, count: int) -> tuple[list[int], np.ndarray]:
-        """Kernel vectors mod p for the first ``count`` non-pivot columns.
-
-        Returns the columns (of A) and a matrix whose k-th column is the
-        solution of U y = 0 with 1 at the k-th of them and 0 at the other
-        non-pivot columns, by back substitution of U; rows follow A's columns.
-        """
-        r, fp = self.rank, float(self.p)
-        pos = self.piv_pos
-        is_piv = np.zeros(self.ncols, dtype=bool)
-        is_piv[pos] = True
-        free = np.flatnonzero(~is_piv)[:count]
-        x = self._solve_upper((fp - self.a[:r, free]) % fp)
-        y = np.zeros((self.ncols, free.size))
-        y[pos] = x
-        y[free, np.arange(free.size)] = 1.0
-        out = np.empty_like(y)
-        out[self.col_perm] = y
-        return self.col_perm[free].tolist(), out
+def _echelon(sp: SparseCols, p: int) -> _Echelon:
+    """The echelon form of sp mod p (p < 2^20), streaming its rows: a block,
+    pivot columns first, is reduced against X in pieces of ``_EXACT_TERMS``
+    terms, echelonized and joined to X in place, until all columns pivot."""
+    n = sp.ncols
+    held = -(-n * n // 4)  # r (n - r) <= n^2 / 4
+    _budget(sp, held + _BLOCK * n)
+    fp, buf = float(p), np.empty(held)
+    piv, free, pos = np.empty(0, dtype=np.int64), np.arange(n), np.arange(n)
+    x = buf[:0].reshape(0, n)
+    res = np.array([v % p for col in sp.cols for _, v in col], dtype=np.float64)
+    res[res > p // 2] -= p
+    for t, rows, cols, vals in _row_blocks(sp, res):
+        r = piv.size
+        blk = np.zeros((t, n))
+        blk[rows, pos[cols]] = vals
+        rem = blk[:, r:]
+        for k0 in range(0, r, _EXACT_TERMS):
+            rem -= blk[:, k0:min(k0 + _EXACT_TERMS, r)] @ x[k0:k0 + _EXACT_TERMS]
+            _reduce(rem, fp)
+        if rem.any():
+            new, y = _rref(rem, p)
+            x = _absorb(x, new, y, fp, buf)
+            piv, free = np.concatenate([piv, free[new]]), np.delete(free, new)
+            if not free.size:
+                break
+            pos[np.concatenate([piv, free])] = np.arange(n)
+    # a copy of a shrunken X lets the buffer's pages go
+    return _Echelon(p, piv, free, x.copy() if 2 * x.size <= held else x)
 
 
 @lru_cache(maxsize=1024)
@@ -645,7 +525,7 @@ def rank_modular(matrix, prime_count: int = 3, seed: int = 0) -> int:
 
 
 # ---------------------------------------------------------------------------
-# exact null vectors: Dixon lifting from the LU's kernel basis
+# exact null vectors: the echelon form's kernel basis, over one or more primes
 
 
 def _rational_reconstruct(a: int, m: int):
@@ -701,72 +581,79 @@ def _try_reconstruct_vector(xacc, m: int):
     return nums, den
 
 
-def _int64_safe(sp: SparseCols, p: int) -> bool:
-    """Whether Dixon's integer side fits int64 for sp at p."""
-    return sp.max_abs() * max(sp.nrows, sp.ncols, 1) * p < (1 << 62)
+def _annihilated(sp: SparseCols, v: np.ndarray) -> np.ndarray:
+    """Which columns of the integer matrix ``v`` sp maps to zero, exactly, by
+    row blocks: in float64 where max|sp| ncols max|v| < 2^53, else in ints."""
+    exact = sp.max_abs() * sp.ncols * int(np.abs(v).max()) < 1 << 53
+    dtype = np.float64 if exact else object
+    v, zero = v.astype(dtype, copy=False), np.ones(v.shape[1], dtype=bool)
+    vals = np.array([x for col in sp.cols for _, x in col], dtype=dtype)
+    for t, rows, cols, blk_vals in _row_blocks(sp, vals):
+        blk = np.zeros((t, sp.ncols), dtype=dtype)
+        blk[rows, cols] = blk_vals
+        zero &= ~(blk @ v != 0).any(axis=0)
+    return zero
 
 
-def exact_right_null_vectors(matrix, count: int, lu: _BlockedLU) -> list[list[int]]:
+def _crt(acc: np.ndarray, m: int, res: np.ndarray, q: int) -> np.ndarray:
+    """Centred residues mod m*q of ``acc`` mod m and ``res`` (int64) mod q."""
+    t = (res - (acc % q).astype(np.int64)) * pow(m, -1, q) % q
+    out = acc + m * t.astype(object)
+    out[out > m * q // 2] -= m * q
+    return out
+
+
+def exact_right_null_vectors(matrix, count: int, ech: _Echelon) -> list[list[int]]:
     """Up to ``count`` independent integer vectors v with M v = 0, each verified
-    in exact arithmetic.
+    exactly, from the first ``count`` columns of [-X; I] in ``ech``, M's
+    echelon form mod p (unit free coordinates make them independent).
 
-    All of them come from ``lu``, the caller's LU of M modulo a small prime p.
-    Back substitution of U gives a kernel basis mod p in which vector k
-    carries the k-th non-pivot column's unit coordinate, so the vectors are
-    independent.  Its pivot entries solve the pivot system mod p:
-    step 1 of Dixon's p-adic lifting on the same factors.  One loop
-    reconstructs each vector at p, p^2, p^4, ... and checks it by one exact
-    product: zero everywhere keeps it; zero on the pivot rows only makes it
-    the pivot system's exact solution but no kernel vector, so p is unlucky
-    for that column, which is dropped; anything else is lifted further.  The
-    exact image that lifting needs (int64 where that cannot overflow, else
-    Python integers) is built only once some vector needs it.
+    Each is rationally reconstructed and checked by :func:`_annihilated`.
+    While some fail, X is combined on them by CRT with the echelon form at
+    the next fallback prime, if its rank and pivot set (column rank profile)
+    agree: the rational form reduces to it there.  An unlucky prime only
+    lowers the rank or moves a pivot right, so a higher rank, or a
+    lexicographically smaller pivot set, restarts the combination.
     """
     sp = _coerce(matrix)
-    if sp.ncols == 0:
-        return []
-    p = lu.p
-    free, basis = lu.kernel_basis(count)
-    rows, cols = lu.perm[:lu.rank].tolist(), lu.col_perm[lu.piv_pos].tolist()
-    xacc = basis[cols].astype(np.int64)  # step 1: the pivot solutions mod p
-    vectors: list[list[int]] = []
-    a_int = residual = None
-    step, pk = 1, p
-    while True:
-        lifting = []
-        for c, f in enumerate(free):
-            recon = _try_reconstruct_vector(xacc[:, c].tolist(), pk)
-            if recon is None:
-                lifting.append(c)
-                continue
-            v = [0] * sp.ncols
-            for j, x in zip(cols, recon[0]):
-                v[j] = x
-            v[f] = recon[1]
-            g = gcd(*v)
-            if g > 1:
-                v = [x // g for x in v]
-            out = sp.matvec(v)
-            if not any(out):
-                vectors.append(v)
-            elif any(out[i] for i in rows):
-                lifting.append(c)
-        if not lifting or step == DIXON_MAX_STEPS:
-            return vectors
-        free = [free[c] for c in lifting]
-        xacc = xacc[:, lifting]
-        if a_int is None:
-            dense = _dense_mod(sp, None, np.int64 if _int64_safe(sp, p) else object)
-            a_int = dense[np.ix_(rows, cols)]
-            residual = (-dense[np.ix_(rows, free)] - a_int @ xacc) // p
-            xacc = xacc.astype(object)
+    primes = _primes_down(min(SMALL_PRIMES))
+    best, vectors = None, []
+    for tried in range(CRT_MAX_PRIMES + 1):
+        if tried:
+            ech = _echelon(sp, next(primes))
+        order = np.argsort(ech.piv)
+        key = (-ech.piv.size, ech.piv[order].tolist())
+        if best is None or key < best:
+            best, m, vectors, piv, free = key, ech.p, [], ech.piv[order], ech.free
+            todo = np.arange(min(count, free.size))
+            acc = -ech.x[np.ix_(order, todo)].astype(np.int64)
+        elif key == best:
+            acc, m = _crt(acc, m, -ech.x[np.ix_(order, todo)].astype(np.int64), ech.p), m * ech.p
         else:
-            residual = residual[:, lifting]
-        for step in range(step + 1, min(2 * step, DIXON_MAX_STEPS) + 1):  # to the next attempt
-            xi = lu.solve((residual % p).astype(np.float64)).astype(np.int64)
-            residual = (residual - a_int @ xi) // p
-            xacc += xi.astype(object) * pk
-            pk *= p
+            continue
+        # integral columns pass at once; the others until one fails
+        bound = isqrt(m // 2)
+        good = ((acc >= -bound) & (acc <= bound)).all(axis=0)
+        rational = {}
+        for k in np.flatnonzero(~good):
+            recon = _try_reconstruct_vector(acc[:, k].tolist(), m)
+            if recon is None:
+                break
+            rational[k], good[k] = recon, True
+        if good.any():
+            cand = np.flatnonzero(good)
+            v = np.zeros((sp.ncols, cand.size), dtype=acc.dtype)
+            v[piv] = acc[:, cand]
+            v[free[todo[cand]], np.arange(cand.size)] = 1
+            for j, k in enumerate(cand):
+                if k in rational:
+                    v[piv, j], v[free[todo[k]], j] = rational[k]
+            passed = _annihilated(sp, v)
+            vectors += v[:, passed].T.tolist()
+            todo, acc = np.delete(todo, cand[passed]), np.delete(acc, cand[passed], axis=1)
+        if not todo.size:
+            break
+    return vectors
 
 
 # ---------------------------------------------------------------------------
@@ -835,13 +722,13 @@ def exact_rank_info(matrix, seed: int = 0) -> RankInfo:
     """Rank over Q with the route picked by size.
 
     Small matrices go through Bareiss (unconditional).  Larger ones are
-    peeled, and the core is factored once modulo a small prime: full modular
-    rank certifies itself, and a deficient rank, of any nullity, is certified
-    by exact integer null vectors of the core (one per unit of its nullity)
-    read from the same factorization.  If a certificate cannot be completed
-    at up to five primes, the best modular rank is returned with
-    ``certified=False``; a core whose dense image would exceed
-    ``DENSE_ELEMS_CAP`` raises :class:`UncertifiedRankError`.
+    peeled, and the core is echelonized once modulo a small prime: full
+    modular rank certifies itself, and a deficient rank, of any nullity, is
+    certified by exact integer null vectors of the core (one per unit of its
+    nullity) read from the same echelon form.  If a certificate cannot be
+    completed at up to five primes, the best modular rank is returned with
+    ``certified=False``; a core whose elimination would hold more than
+    ``DENSE_ELEMS_CAP`` elements raises :class:`UncertifiedRankError`.
     """
     sp = _coerce(matrix)
     info = _exact_rank_info_inner(sp, seed)
@@ -898,15 +785,15 @@ def _exact_rank_info_inner(sp: SparseCols, seed: int) -> RankInfo:
     tall = core if core.nrows >= core.ncols else core.transpose()
     r = 0
     for p in _engine_primes(shape, seed, core.max_abs())[:5]:
-        lu = _BlockedLU(_dense_mod(tall, p), p)
-        if lu.rank == mind:
+        ech = _echelon(tall, p)
+        if ech.piv.size == mind:
             return RankInfo(base + mind, True, "peel+modular-full", shape, nnz)
-        if lu.rank <= r:
+        if ech.piv.size <= r:
             continue
-        # the prime bounds the rank from below; exact kernel vectors of the
-        # same factorization cap it from above
-        r = lu.rank
-        vecs = exact_right_null_vectors(tall, mind - r, lu=lu)
+        # the prime bounds the rank from below; exact kernel vectors read
+        # from the same echelon form cap it from above
+        r = ech.piv.size
+        vecs = exact_right_null_vectors(tall, mind - r, ech)
         if len(vecs) == mind - r:
             return RankInfo(base + r, True, "peel+modular+nullcert", shape, nnz)
     return RankInfo(base + r, False, "modular-consensus", shape, nnz)

@@ -71,7 +71,7 @@ def rng():
 def starved_engine(monkeypatch):
     """An engine that certifies no rank-deficient core: Bareiss never runs and
     the null-vector certificate is withheld, so a deficient core comes back as
-    ``modular-consensus``, with the LU's rank as an uncertified lower bound."""
+    ``modular-consensus``, with the rank mod p as an uncertified lower bound."""
     monkeypatch.setattr(ranks, "exact_right_null_vectors", lambda *args, **kwargs: [])
     monkeypatch.setattr(ranks, "BAREISS_OPS_CAP", 0)
     # the path algebras hold the only memo of certified path ranks

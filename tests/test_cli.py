@@ -209,7 +209,7 @@ class TestUncertified:
         assert code == 2
         assert captured.out == ""
         assert re.match(r"error: ell\^2 rank of P_10 at degree 1 not certified: "
-                        r"dense image \d+x\d+ exceeds the budget of 100 .* at degree 1$",
+                        r"elimination of \d+x\d+ exceeds the budget of 100 .* at degree 1$",
                         captured.err)
 
     def test_wlp_exits_2(self, capsys, starved_engine, monkeypatch, tmp_path):
@@ -219,7 +219,7 @@ class TestUncertified:
         f = tmp_path / "c12.txt"
         f.write_text("n 12\n" + "".join(f"{i} {(i + 1) % 12}\n" for i in range(12)))
         for cap, error in ((ranks.DENSE_ELEMS_CAP, r"error: rank 102 at degree 3 not certified"),
-                           (100, r"error: dense image \d+x\d+ exceeds the budget of 100 .* "
+                           (100, r"error: elimination of \d+x\d+ exceeds the budget of 100 .* "
                                  r"at degree 2$")):
             monkeypatch.setattr(ranks, "DENSE_ELEMS_CAP", cap)
             for argv in (["wlp", "--graph-file", str(f)],

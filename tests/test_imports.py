@@ -1,4 +1,5 @@
-"""Every module-level import of the library is used in its module.
+"""Every module-level import of the library is used in its module, and
+importing the command line does no more work than it did.
 
 No linter runs on this tree, so a deletion that leaves an import behind is
 caught here instead.  ``__init__.py`` is exempt: its imports are the public
@@ -6,6 +7,9 @@ re-exports.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -37,3 +41,32 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
 def test_module_imports_are_used(module):
     assert _unused_imports(module.read_text(encoding="utf-8")) == []
+
+
+# Records every prime that _is_probable_prime confirms while wlpgraph.cli is
+# imported, then prints their count and the smallest, and the engine's.
+_WATCH_PRIMES = """
+import sys
+found = []
+def watch(frame, event, arg):
+    if event == "return" and frame.f_code.co_name == "_is_probable_prime" and arg:
+        found.append(frame.f_locals["n"])
+sys.setprofile(watch)
+import wlpgraph.cli
+sys.setprofile(None)
+from wlpgraph import ranks
+print(len(found), min(found), len(ranks.SMALL_PRIMES), min(ranks.SMALL_PRIMES))
+"""
+
+
+def test_cli_import_makes_only_the_engine_primes():
+    # every command pays for its import: the 60 engine primes are made then,
+    # and the primes of the certificate's CRT fallback, which lie below
+    # them, only when a certificate needs one
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", _WATCH_PRIMES], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    found, lowest, engine, engine_lowest = map(int, out.split())
+    assert found == engine <= 60
+    assert lowest == engine_lowest

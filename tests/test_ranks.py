@@ -11,10 +11,9 @@ from wlpgraph import ranks
 from wlpgraph.ranks import (
     SMALL_PRIMES,
     SparseCols,
-    _BlockedLU,
     _dense_mod,
+    _echelon,
     _engine_primes,
-    _int64_safe,
     _peel,
     _rank_mod_p_int64,
     _rational_reconstruct,
@@ -60,25 +59,11 @@ def _spy(monkeypatch, name):
 
 
 def _null_vectors_at(matrix, count, seed):
-    """``exact_right_null_vectors`` on a fresh LU at the small prime drawn
-    from ``seed``."""
+    """``exact_right_null_vectors`` on a fresh echelon form at the small prime
+    drawn from ``seed``."""
     sp = ranks._coerce(matrix)
     p = SMALL_PRIMES[random.Random(seed).randrange(len(SMALL_PRIMES))]
-    return exact_right_null_vectors(sp, count, _BlockedLU(_dense_mod(sp, p), p))
-
-
-def _spy_solves(monkeypatch):
-    """Right-hand-side shape of every ``_BlockedLU.solve`` call; each call is
-    one Dixon lifting step past the kernel basis."""
-    shapes = []
-    original = _BlockedLU.solve
-
-    def solve(self, y):
-        shapes.append(y.shape)
-        return original(self, y)
-
-    monkeypatch.setattr(_BlockedLU, "solve", solve)
-    return shapes
+    return exact_right_null_vectors(sp, count, _echelon(sp, p))
 
 
 class TestSparseCols:
@@ -223,34 +208,17 @@ class TestModular:
         assert all((1 << 30) < p < (1 << 31) for p in primes)
 
     def test_blocked_lu_matches_int64(self, rng):
+        # the streamed echelon engine against the plain int64 row reduction
         for trial in range(30):
             m = random_matrix(rng, max_dim=60, low_rank=trial % 2 == 0)
             p = SMALL_PRIMES[trial % len(SMALL_PRIMES)]
             sp = SparseCols.from_dense(m)
-            assert (
-                _BlockedLU(_dense_mod(sp, p), p).rank
-                == _rank_mod_p_int64(_dense_mod(sp, p, np.int64), p)
-            )
-
-    def test_blocked_lu_solve(self, rng):
-        for trial in range(15):
-            n = rng.randint(1, 150)
-            p = SMALL_PRIMES[trial % 7]
-            a = np.array([[rng.randrange(p) for _ in range(n)] for _ in range(n)],
-                         dtype=np.float64)
-            lu = _BlockedLU(a.copy(), p)
-            if lu.rank < n:
-                continue
-            x = np.array([rng.randrange(p) for _ in range(n)], dtype=np.float64)
-            b = np.zeros(n)
-            for c0 in range(0, n, 64):
-                b = (b + a[:, c0:c0 + 64] @ x[c0:c0 + 64]) % p
-            assert np.array_equal(lu.solve(b[lu.perm]), x)
+            assert _echelon(sp, p).piv.size == _rank_mod_p_int64(_dense_mod(sp, p, np.int64), p)
 
 
 @st.composite
 def _prime_and_values(draw):
-    """A prime below 2^23 and integers with |x| <= 2^53 - p - 1, the range
+    """A prime below 2^20 and integers with |x| <= 2^53 - p - 1, the range
     :func:`_reduce` accepts, biased to the edges: multiples of p plus or minus
     one, +-p/2, where rounding to the centred residue ties, and the extremes."""
     p = draw(st.sampled_from((2, 3, 5, 65537, *SMALL_PRIMES)))
@@ -262,18 +230,39 @@ def _prime_and_values(draw):
     return p, draw(st.lists(value, min_size=1, max_size=60))
 
 
-def _assert_factors(lu, a):
-    """P A Q = L U mod p, with L and U read from ``lu.a`` and A given by its
-    residues ``a`` (an int64 array)."""
-    p, r = lu.p, lu.rank
-    f = lu.a.astype(np.int64) % p
-    lower = np.zeros((lu.nrows, r), dtype=np.int64)
-    upper = np.zeros((r, lu.ncols), dtype=np.int64)
-    for k, c in enumerate(lu.piv_pos):
-        lower[k, k] = 1
-        lower[k + 1:, k] = f[k + 1:, c]
-        upper[k, c:] = f[k, c:]
-    assert np.array_equal(a[lu.perm][:, lu.col_perm], lower @ upper % p)
+def _assert_rref(ech, a):
+    """A[:, free] = A[:, piv] X mod p for the echelon form ``ech`` of A, given
+    by its residues ``a`` (an int64 array), with every entry of X a centred
+    residue and the kernel basis [-X; I] annihilated by A mod p."""
+    p = ech.p
+    assert sorted(ech.piv.tolist() + ech.free.tolist()) == list(range(a.shape[1]))
+    assert 2 * np.abs(ech.x).max(initial=0) <= p + 4
+    x = ech.x.astype(np.int64)
+    assert not ((a[:, ech.free] - a[:, ech.piv] @ x) % p).any()
+
+
+def _column_profile(m):
+    """The column rank profile over Q: column j is a pivot iff it raises the
+    rank of the columns before it."""
+    cols = [list(c) for c in zip(*m)]
+    ranks_ = [0] + [rank_bareiss([list(r) for r in zip(*cols[:j + 1])]) for j in range(len(cols))]
+    return [j for j in range(len(cols)) if ranks_[j + 1] > ranks_[j]]
+
+
+@st.composite
+def _low_rank_matrices(draw):
+    """Integer matrices of at most 30 columns and rank below both sides; zero
+    and repeated rows, and zero and repeated columns, may occur among them."""
+    nr = draw(st.integers(2, 40))
+    nc = draw(st.integers(2, 30))
+    k = draw(st.integers(1, min(nr, nc) - 1))
+    fresh = st.lists(st.integers(-3, 3), min_size=k, max_size=k)
+    pool = draw(st.lists(fresh, min_size=1, max_size=3))
+    row = st.one_of(st.just([0] * k), st.sampled_from(pool), fresh)
+    left = draw(st.lists(row, min_size=nr, max_size=nr))
+    right = draw(st.lists(st.lists(st.integers(-3, 3), min_size=nc, max_size=nc),
+                          min_size=k, max_size=k))
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*right)] for row in left]
 
 
 class TestModularKernels:
@@ -286,23 +275,43 @@ class TestModularKernels:
         values = values + [0] * (-len(values) % width)
         x = np.array(values, dtype=np.float64).reshape(-1, width)
         assert np.array_equal(x, np.array(values, dtype=np.int64).reshape(-1, width))
-        saved = ranks._REDUCE_BLOCK
-        ranks._REDUCE_BLOCK = 2 * width  # several row blocks even for short inputs
-        try:
-            got = _reduce(x, float(p))
-        finally:
-            ranks._REDUCE_BLOCK = saved
+        got = _reduce(x, float(p))
         assert got is x
         assert all(r == int(r) for r in got.ravel())
         residues = [int(r) for r in got.ravel()]
         assert [r % p for r in residues] == [v % p for v in values]
         assert all(2 * abs(r) <= p + 4 for r in residues)
 
-    def test_delayed_trailing_reduction(self, rng, monkeypatch):
-        # ten panels of residues near +-p/2 at the largest small prime: eight
-        # trailing updates fit below 2^53 - p, so the ninth is preceded by the
-        # one reduction of the whole trailing block; columns 100, 450 and 599
-        # depend on earlier ones, so the kernel is read too
+    @settings(max_examples=60, deadline=None)
+    @given(_low_rank_matrices(), st.sampled_from(SMALL_PRIMES[:5]))
+    def test_pivots_are_canonical(self, m, p):
+        # leftmost pivots: the pivot set is the column rank profile, and the
+        # reduced echelon form of the row space does not depend on how the
+        # rows are streamed; the profile over Q is the one mod p here, as p
+        # divides no minor of these small matrices with overwhelming odds
+        sp = SparseCols.from_dense(m)
+        a = np.array(m, dtype=np.int64) % p
+        forms = []
+        # blocks of 1 and 5 rows, the second halved down to leaves of 2, and
+        # the default sizes
+        for block, leaf in ((1, 1), (5, 2), (ranks._BLOCK, ranks._LEAF)):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(ranks, "_BLOCK", block)
+                mp.setattr(ranks, "_LEAF", leaf)
+                ech = _echelon(sp, p)
+            _assert_rref(ech, a)
+            assert sorted(ech.piv.tolist()) == _column_profile(m)
+            order = np.argsort(ech.piv)
+            forms.append((ech.free.tolist(), ech.x[order].astype(np.int64) % p))
+        for free, x in forms[1:]:
+            assert free == forms[0][0] and np.array_equal(x, forms[0][1])
+
+    def test_split_products_exact(self, rng, monkeypatch):
+        # residues near +-p/2 at the largest engine prime, with the inner
+        # dimension of an exact product cut to 64 terms: a row block is
+        # reduced against up to 512 pivot rows in several pieces, with a
+        # reduction after each; columns 100, 450 and 599 depend on earlier
+        # ones, so the kernel is read too
         p = max(SMALL_PRIMES)
         nr = nc = 600
         half = p // 2
@@ -312,31 +321,21 @@ class TestModularKernels:
             row[100] = (row[3] + row[7] + half) % p - half
             row[450] = (2 * row[5] + half) % p - half
             row[599] = row[0]
-        calls = []
-        for name in ("_reduce", "_sub_product"):
-            def spy(x, *args, _name=name, _original=getattr(ranks, name)):
-                calls.append((_name, x.ctypes.data, x.shape))
-                return _original(x, *args)
-            monkeypatch.setattr(ranks, name, spy)
-        lu = _BlockedLU(np.array(a, dtype=np.float64), p)
-        r = lu.rank
-        assert r == nc - 3 and len(lu.panels) == 10
-        # a reduction of the very block that the next call updates
-        fired = [c for c, d in zip(calls, calls[1:])
-                 if (c[0], d[0]) == ("_reduce", "_sub_product") and c[1:] == d[1:]]
-        assert sum(c[0] == "_sub_product" for c in calls) == 9 and len(fired) == 1
-        assert np.abs(lu.a).max() < p
+        monkeypatch.setattr(ranks, "_EXACT_TERMS", 64)
+        products = _spy(monkeypatch, "_reduce")
+        sp = SparseCols.from_dense(a)
+        ech = _echelon(sp, p)
         am = np.array(a, dtype=np.int64) % p
-        _assert_factors(lu, am)
-        free, basis = lu.kernel_basis(nc)
-        assert sorted(free) == [100, 450, 599]
-        assert ((basis >= 0) & (basis < p)).all()
-        assert not (am @ basis.astype(np.int64) % p).any()
+        assert ech.piv.size == _rank_mod_p_int64(am, p) == nc - 3
+        assert ech.free.tolist() == [100, 450, 599]
+        _assert_rref(ech, am)
+        # the last block is reduced against 512 pivot rows: eight pieces
+        assert sum(args[0].shape == (nr - 512, nc - 512) for args, _, _ in products) >= 8
 
     def test_factors_after_panel_column_swaps(self, rng, monkeypatch):
-        # column 5 depends on columns 1, 2 and column 70 on column 3, so each
-        # panel has a non-pivot column ahead of pivot columns; the second
-        # panel's swaps must also reorder the U rows above it
+        # column 5 depends on columns 1, 2 and column 70 on column 3, and
+        # column 100 is zero, so non-pivot columns sit ahead of pivot columns
+        # within the first row block's columns
         nr, nc = 150, 140
         m = [[rng.randint(-5, 5) for _ in range(nc)] for _ in range(nr)]
         for row in m:
@@ -345,34 +344,27 @@ class TestModularKernels:
             row[100] = 0
         p = SMALL_PRIMES[0]
         sp = SparseCols.from_dense(m)
-        lu = _BlockedLU(_dense_mod(sp, p), p)
-        r = lu.rank
-        assert r == rank_bareiss(m) == nc - 3
-        assert lu.col_perm.tolist() != list(range(nc))
-        assert any(r0 > 0 and lu.col_perm[k0 + r1 - r0 - 1] != k0 + r1 - r0 - 1
-                   for r0, r1, k0 in lu.panels)
+        ech = _echelon(sp, p)
+        assert ech.piv.size == rank_bareiss(m) == nc - 3
         a = np.array(m, dtype=np.int64) % p
-        _assert_factors(lu, a)
-        free, basis = lu.kernel_basis(nc)
-        assert sorted(free) == [5, 70, 100]
-        assert not (a @ basis.astype(np.int64) % p).any()
-        # every kernel vector is read off the single prime: no lifting step
-        solves = _spy_solves(monkeypatch)
-        assert len(exact_right_null_vectors(sp, nc, lu)) == len(free)
-        assert not solves
-
+        _assert_rref(ech, a)
+        assert ech.free.tolist() == [5, 70, 100]
+        # every kernel vector is read off the single prime: nothing combined
+        combined = _spy(monkeypatch, "_crt")
+        assert len(exact_right_null_vectors(sp, nc, ech)) == 3
+        assert not combined
 
     def test_rational_kernel_read_off_one_prime(self, rng, monkeypatch):
         # M = [2B | B w]: the kernel vector with 1 in the last column is
         # (-w/2, 1), so the symmetric lift fails and Wang reconstruction at
-        # the single prime recovers it; Dixon never lifts past step 1
+        # the single prime recovers it; no second prime is combined
         b = [[rng.randint(-3, 3) for _ in range(11)] for _ in range(30)]
         w = [2 * rng.randint(-3, 3) + 1 for _ in range(11)]
         m = [[2 * x for x in row] + [sum(x * y for x, y in zip(row, w))] for row in b]
         assert rank_bareiss(m) == 11
-        solves = _spy_solves(monkeypatch)
+        combined = _spy(monkeypatch, "_crt")
         (v,) = _null_vectors_at(m, 1, seed=4)
-        assert not solves
+        assert not combined
         assert v in ([-x for x in w] + [2], w + [-2])
 
 
@@ -488,33 +480,33 @@ class TestExactRankInfo:
         a = rng2.integers(-2, 3, size=(320, 230))
         b = rng2.integers(-2, 3, size=(230, 300))
         m = (a @ b).tolist()
-        solves = _spy_solves(monkeypatch)
+        combined = _spy(monkeypatch, "_crt")
         info = exact_rank_info(m)
         assert info.certified
         assert info.rank == 230
         # this kernel's entries are far too large for a single prime: all 70
-        # vectors are lifted past step 1, in one batch
-        assert solves[0] == (230, 70)
+        # vectors are still open when the second prime is combined
+        assert combined[0][0][0].shape == (230, 70)
 
-    def test_huge_entries_certified_by_dixon(self, monkeypatch):
+    def test_huge_entries_certified_by_crt(self, monkeypatch):
         # M = [B | B w] with |B| < 2^40: the kernel vector (-w, 1) is too large
-        # for one prime, and Dixon's integer side overflows int64, so it runs
-        # on Python integers
+        # for one prime, so X is combined over several, and its exact check
+        # would pass 2^53 in float64, so it runs on Python integers
         rng = random.Random(11)
         b = [[rng.randint(-(1 << 40), 1 << 40) for _ in range(136)] for _ in range(150)]
         w = [rng.choice((-1, 1)) * rng.randint(10 ** 7 - 1000, 10 ** 7 + 1000)
              for _ in range(136)]
         sp = SparseCols.from_dense([row + [sum(x * y for x, y in zip(row, w))] for row in b])
-        assert not _int64_safe(sp, min(SMALL_PRIMES))
+        assert sp.max_abs() * sp.ncols * 10 ** 7 > 1 << 53
         nullcert = _spy(monkeypatch, "exact_right_null_vectors")
-        solves = _spy_solves(monkeypatch)
+        combined = _spy(monkeypatch, "_crt")
         info = exact_rank_info(sp)
         assert info.certified and info.method == "peel+modular+nullcert"
         assert info.rank == 136
         kernel = [-x for x in w] + [1]
         ((_, _, vecs),) = nullcert
         assert vecs in ([kernel], [[-x for x in kernel]])
-        assert solves  # lifted past step 1
+        assert len(combined) > 1
 
     def test_large_nullity_certified(self):
         # nullity 170: every kernel vector must be certified, however many
@@ -542,24 +534,31 @@ class TestExactRankInfo:
         assert (core.nrows, core.ncols) == shape
         assert shape[0] * shape[1] * min(shape) > ranks.BAREISS_OPS_CAP  # not Bareiss
 
-        lu = _BlockedLU(_dense_mod(sp, p), p)
-        assert lu.rank == k
-        free, basis = lu.kernel_basis(shape[1])
-        recons = [_try_reconstruct_vector(basis[:, j].astype(np.int64).tolist(), p)
-                  for j in range(len(free))]
+        ech = _echelon(sp, p)
+        assert ech.piv.size == k
+        # some column of p's kernel basis [-X; I] is no rational kernel vector
+        basis = np.zeros((shape[1], ech.free.size), dtype=np.int64)
+        basis[ech.piv], basis[ech.free, np.arange(ech.free.size)] = -ech.x, 1
+        recons = [_try_reconstruct_vector(col, p) for col in basis.T.tolist()]
         assert any(recon is None or any(sp.matvec(recon[0])) for recon in recons)
 
         nullcert = _spy(monkeypatch, "exact_right_null_vectors")
-        solves = _spy_solves(monkeypatch)
+        echelons = _spy(monkeypatch, "_echelon")
+        combined = _spy(monkeypatch, "_crt")
         info = exact_rank_info(sp)
         assert info.certified and info.method == "peel+modular+nullcert"
         assert info.rank == rank_bareiss(sp) == k + 1
-        # a column whose pivot solution is exact but no kernel vector is
-        # dropped at once rather than lifted to DIXON_MAX_STEPS
-        assert len(solves) < ranks.DIXON_MAX_STEPS
-        (_, first, vecs_p), (_, second, vecs) = nullcert
-        assert first["lu"].p == p and len(vecs_p) < shape[1] - k
-        assert second["lu"].p != p and len(vecs) == shape[1] - k - 1
+        # the first fallback prime has rank k + 1, so it restarts the
+        # combination: the first certificate drops p's basis and returns the
+        # kernel of rank k + 1, too few for the nullity it was asked for;
+        # the engine's next prime then certifies that rank
+        ((_, count_p, ech_p), _, vecs_p), ((_, count, ech2), _, vecs) = nullcert
+        assert ech_p.p == p and count_p == shape[1] - k
+        assert [e.piv.size for _, _, e in echelons[1:3]] == [k + 1, k + 1]
+        assert echelons[1][0][1] not in SMALL_PRIMES
+        assert len(vecs_p) == shape[1] - k - 1
+        assert ech2.p != p and count == len(vecs) == shape[1] - k - 1
+        assert len(combined) < ranks.CRT_MAX_PRIMES
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(2, 40), st.integers(2, 40), st.data())
@@ -579,24 +578,30 @@ class TestExactRankInfo:
         sp = SparseCols.from_dense((a @ b + p * (u @ w)).tolist())
         assert _engine_primes(shape, 0, sp.max_abs())[0] == p
         assert _peel(sp)[0].nrows == nrows  # no zero entry, so nothing peels
+        original = ranks._echelon
+        echelons = []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ranks, "BAREISS_OPS_CAP", 0)
+            mp.setattr(ranks, "_echelon", lambda *args: echelons.append(args) or original(*args))
             info = exact_rank_info(sp)
         assert info.certified and info.method.startswith("peel+modular")
         assert info.rank == rank_bareiss(sp)
+        # once no column is left to certify (after a restart at full rank,
+        # say) the certificate ends instead of running through the primes
+        assert len(echelons) < ranks.CRT_MAX_PRIMES
 
     def test_dense_cap_respected(self, monkeypatch):
-        # over the cap no dense image is made, so no rank is read from one:
+        # over the cap no elimination runs, so no rank is read from one:
         # the engine and the cross-check both raise, naming the shape
         cap = 1000
         rng2 = np.random.default_rng(9)
         m = (rng2.integers(-2, 3, size=(300, 30)) @ rng2.integers(-2, 3, size=(30, 200))).tolist()
         monkeypatch.setattr(ranks, "DENSE_ELEMS_CAP", cap)
-        factored = _spy(monkeypatch, "_BlockedLU")
+        eliminated = _spy(monkeypatch, "_rref")
         nullcert = _spy(monkeypatch, "exact_right_null_vectors")
         with pytest.raises(ranks.UncertifiedRankError, match="300x200 exceeds the budget of 1000"):
             exact_rank_info(m)
-        assert not factored
+        assert not eliminated
         assert not nullcert
 
         images = []
@@ -610,6 +615,26 @@ class TestExactRankInfo:
         with pytest.raises(ranks.UncertifiedRankError, match="300x200 exceeds the budget of 1000"):
             rank_modular(m)
         assert not images
+
+    def test_budget_counts_held_elements(self, monkeypatch):
+        # the engine holds X, at most n^2/4 elements, and one row block of
+        # _BLOCK rows, not the m x n core: a budget between the two ranks and
+        # certifies a deficient core, and one below the held count refuses it
+        rng2 = np.random.default_rng(10)
+        m = (rng2.integers(-2, 3, size=(1200, 30)) @ rng2.integers(-2, 3, size=(30, 60))).tolist()
+        held = 60 * 60 // 4 + ranks._BLOCK * 60
+        assert held < 1200 * 60
+        monkeypatch.setattr(ranks, "DENSE_ELEMS_CAP", held)
+        info = exact_rank_info(m)
+        assert info.certified and info.method == "peel+modular+nullcert"
+        assert info.rank == rank_bareiss(m) == 30
+
+        monkeypatch.setattr(ranks, "DENSE_ELEMS_CAP", held - 1)
+        eliminated = _spy(monkeypatch, "_rref")
+        with pytest.raises(ranks.UncertifiedRankError,
+                           match=f"1200x60 exceeds the budget of {held - 1} elements"):
+            exact_rank_info(m)
+        assert not eliminated
 
     def test_agreement_with_engines(self, rng):
         for trial in range(40):

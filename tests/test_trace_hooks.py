@@ -60,7 +60,7 @@ def test_workload_gates_pass(workload):
 def test_routes_cover_every_rank_method(request):
     # a renamed or orphaned route would silently zero its ranks.route.* metric
     rng = np.random.default_rng(3)
-    # 120 * 110 * 110 is over BAREISS_OPS_CAP, so these go to the modular LU
+    # 120 * 110 * 110 is over BAREISS_OPS_CAP, so these go to the modular engine
     deficient = (rng.integers(-2, 3, size=(120, 100)) @ rng.integers(-2, 3, size=(100, 110))).tolist()
     corpus = [
         [[0, 0], [0, 0]],                               # trivial
