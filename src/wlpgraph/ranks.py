@@ -5,16 +5,58 @@ arbitrary-precision integers -- unconditional -- in their wide orientation,
 with partial pivoting on magnitude (smallest nonzero pivot, to limit entry
 growth) and each row's scaling deferred until it is next eliminated.
 
-Larger ones are peeled of singleton rows and columns (an exact rank split),
-and the rows of the core, in its tall orientation, are streamed in blocks
-through a reduced row echelon form [I | X] modulo a prime p < 2^20
-(:func:`_echelon`), holding only X and one row block.  Pivots are leftmost,
-so the pivot set is the column rank profile mod p.  The echelon form gives
-both halves of the certificate: the rank mod p, a lower bound for the
-rational rank (a nonzero minor mod p is nonzero over Z), which settles full
-rank on its own; and for a deficient core the kernel basis mod p [-X; I],
-whose vectors, rationally reconstructed and checked exactly, cap the rank
-(:func:`exact_right_null_vectors`, with a CRT fallback over more primes).
+Larger ones are peeled of singleton rows and columns (an exact rank split).
+A core of full column rank in its tall orientation (m x n, m >= n) is then
+certified without a prime, by a verified Cholesky factorization
+(:func:`_cholesky_certifies`): A has full column rank over Q exactly when
+G = A^T A is positive definite.
+
+1. G is formed exactly in float64: every partial sum is an integer of
+   magnitude at most m max|a|^2, which is checked to be below 2^53.
+2. c is the smallest power of two with c > 2 gamma/(1 - gamma) trace(G),
+   where gamma = (n+1)u / (1 - (n+1)u) and u = 2^-53 (compared in integer
+   arithmetic).  The shift G - cI is exact: 2^53 c > trace(G) >= g_ii, so
+   g_ii - c is a multiple of c below 2^53 c.
+3. G - cI is factored in place.  If the factorization completes, the rank is
+   n; otherwise G is freed and the prime loop below runs.
+
+Why a completed factorization is a proof (Demmel; Higham, *Accuracy and
+Stability of Numerical Algorithms*, 2nd ed., Thm 10.3; Rump, BIT 46 (2006)
+433-452): the computed factor satisfies R^T R = G - cI + E with
+|e_ij| <= gamma |r_i| |r_j| for the columns r_i of R.  With the diagonal
+h_ii = g_ii - c, |r_i|^2 <= h_ii / (1 - gamma), so
+|e_ij| <= gamma/(1 - gamma) sqrt(h_ii h_jj) and
+||E||_2 <= gamma/(1 - gamma) trace(G - cI) < c/2.  R^T R is positive
+definite, hence lambda_min(G) > c - c/2 > 0.  The hypotheses:
+
+- IEEE binary64 with rounding to nearest.  Each l_ij is computed from
+  (h_ij - sum_k l_ik l_jk) / l_jj, and l_jj as a square root, with the sum in
+  any order, with or without fused multiply-adds, and the division done
+  directly or by a computed reciprocal: at most n + 1 roundings per entry,
+  as in LAPACK and BLAS.  No Strassen-like products.
+- No underflow.  This is enforced: a nonzero |l_ij| < 2^-400 refuses the
+  certificate.  Then every product and quotient of nonzero entries is normal,
+  and a sum that falls below the normal range is exact.
+
+The factorization runs in panels of ``_PANEL`` columns, left-looking: the
+panel is updated by one product with the columns before it, its diagonal
+block factored by LAPACK, and the rows below it found by substitution, as
+``np.linalg.solve`` on the order-reversed system, which is upper triangular,
+so partial pivoting keeps the diagonal and the multipliers are exact zeros.
+It holds G and O(``_BLOCK`` n) elements, and is tried only where that is no
+more than the echelon form below would hold.
+
+Every other core (deficient, or refused by that stage) has its rows
+streamed in blocks through a reduced row echelon form [I | X] modulo a prime
+p < 2^20 (:func:`_echelon`), holding only X and one row block.  Pivots are
+leftmost, so the pivot set is the column rank profile mod p.  The echelon
+form gives both halves of the certificate: the rank mod p, a lower bound for
+the rational rank (a nonzero minor mod p is nonzero over Z), which settles
+full rank on its own; and for a deficient core the kernel basis mod p
+[-X; I], whose vectors, rationally reconstructed and checked exactly, cap
+the rank (:func:`exact_right_null_vectors`, with a CRT fallback over more
+primes).  The core's nonzeros are sorted by row once (:class:`_Rows`), and
+every stage, prime and check reads them from there.
 
 The elimination runs over float64, so its products are BLAS matrix
 products.  Residues are kept centred, |x| <= h = p//2 + 2 < 2^19 + 2
@@ -37,7 +79,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import islice
-from math import gcd, isqrt
+from math import gcd, isqrt, ldexp
 from typing import NamedTuple
 
 import numpy as np
@@ -47,6 +89,13 @@ _BLOCK = 256
 _LEAF = 16
 # Inner terms of an exact float64 product of centred residues mod p < 2^20.
 _EXACT_TERMS = 1 << 14
+# Columns per panel of the verified Cholesky factorization, and the least
+# nonzero magnitude of its factor (below it, the certificate is refused).
+# Under 128 columns OpenBLAS factors a block on one thread; on 2 vCPUs, 7 of
+# 400 threaded factorizations of 128 columns waited about 128 ms for the
+# second thread.
+_PANEL = 64
+_TINY = 2.0 ** -400
 
 # Route-selection and memory caps (correctness never depends on them: the
 # first picks which exact route runs, the second which matrices are refused).
@@ -278,7 +327,16 @@ def _peel(sp: SparseCols):
     pivot row can be deleted outright (clearing the pivot row only alters the
     row being deleted); symmetrically for singleton rows.  Zero rows/columns
     are dropped.  All of this is exact over any field, in particular over Q.
+    A matrix whose every row and column holds two nonzeros or more is its
+    own core, and comes back as it is.
     """
+    if sp.ncols and all(len(col) > 1 for col in sp.cols):
+        seen = [0] * sp.nrows
+        for col in sp.cols:
+            for i, _ in col:
+                seen[i] += 1
+        if min(seen) > 1:
+            return sp, 0
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = {}
     for j, col in enumerate(sp.cols):
@@ -341,7 +399,7 @@ def _peel(sp: SparseCols):
 # streamed echelon form modulo a prime
 
 
-def _budget(sp: SparseCols, held: int) -> None:
+def _budget(sp: SparseCols | _Rows, held: int) -> None:
     """Refuse an elimination of sp that would hold over ``DENSE_ELEMS_CAP`` elements."""
     if held > DENSE_ELEMS_CAP:
         raise UncertifiedRankError(
@@ -360,17 +418,36 @@ def _dense_mod(sp: SparseCols, p: int | None, dtype=np.float64) -> np.ndarray:
     return a
 
 
-def _row_blocks(sp: SparseCols, vals: np.ndarray):
-    """Per block of ``_BLOCK`` rows of sp: its row count, and the row within
-    it, column and value (from ``vals``, in column order) of its nonzeros."""
+class _Rows(NamedTuple):
+    """The nonzeros of a matrix sorted by row, once for every stage that reads
+    it by rows: row, column (ascending within a row) and value, int64 or, if
+    some |entry| >= 2^63, Python ints in an object array."""
+
+    nrows: int
+    ncols: int
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    max_abs: int
+
+
+def _by_rows(sp: SparseCols) -> _Rows:
     rows = np.array([i for col in sp.cols for i, _ in col], dtype=np.int64)
-    order = np.argsort(rows)
-    cols = np.repeat(np.arange(sp.ncols), [len(col) for col in sp.cols])[order]
-    rows, vals = rows[order], vals[order]
-    starts = np.searchsorted(rows, np.arange(0, sp.nrows + _BLOCK, _BLOCK))
-    for k, i0 in enumerate(range(0, sp.nrows, _BLOCK)):
+    order = np.argsort(rows, kind="stable")
+    cols = np.repeat(np.arange(sp.ncols), [len(col) for col in sp.cols])
+    big = sp.max_abs()
+    vals = np.array([v for col in sp.cols for _, v in col],
+                    dtype=np.int64 if big < 1 << 63 else object)
+    return _Rows(sp.nrows, sp.ncols, rows[order], cols[order], vals[order], big)
+
+
+def _row_blocks(a: _Rows, vals: np.ndarray):
+    """Per block of ``_BLOCK`` rows of a: its row count, and the row within
+    it, column and value (from ``vals``, in a's order) of its nonzeros."""
+    starts = np.searchsorted(a.rows, np.arange(0, a.nrows + _BLOCK, _BLOCK))
+    for k, i0 in enumerate(range(0, a.nrows, _BLOCK)):
         s = slice(starts[k], starts[k + 1])
-        yield min(_BLOCK, sp.nrows - i0), rows[s] - i0, cols[s], vals[s]
+        yield min(_BLOCK, a.nrows - i0), a.rows[s] - i0, a.cols[s], vals[s]
 
 
 def _reduce(x: np.ndarray, fp: float) -> np.ndarray:
@@ -466,19 +543,19 @@ def _rref(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     return piv, np.delete(a[:piv.size], piv, axis=1)
 
 
-def _echelon(sp: SparseCols, p: int) -> _Echelon:
-    """The echelon form of sp mod p (p < 2^20), streaming its rows: a block,
+def _echelon(a: _Rows, p: int) -> _Echelon:
+    """The echelon form of a mod p (p < 2^20), streaming its rows: a block,
     pivot columns first, is reduced against X in pieces of ``_EXACT_TERMS``
     terms, echelonized and joined to X in place, until all columns pivot."""
-    n = sp.ncols
+    n = a.ncols
     held = -(-n * n // 4)  # r (n - r) <= n^2 / 4
-    _budget(sp, held + _BLOCK * n)
+    _budget(a, held + _BLOCK * n)
     fp, buf = float(p), np.empty(held)
     piv, free, pos = np.empty(0, dtype=np.int64), np.arange(n), np.arange(n)
     x = buf[:0].reshape(0, n)
-    res = np.array([v % p for col in sp.cols for _, v in col], dtype=np.float64)
+    res = (a.vals % p).astype(np.float64)
     res[res > p // 2] -= p
-    for t, rows, cols, vals in _row_blocks(sp, res):
+    for t, rows, cols, vals in _row_blocks(a, res):
         r = piv.size
         blk = np.zeros((t, n))
         blk[rows, pos[cols]] = vals
@@ -522,6 +599,82 @@ def rank_modular(matrix, prime_count: int = 3, seed: int = 0) -> int:
         if best == min(sp.nrows, sp.ncols):
             break
     return best
+
+
+# ---------------------------------------------------------------------------
+# full column rank by a verified Cholesky factorization of A^T A
+
+
+def _gram(a: _Rows) -> np.ndarray:
+    """A^T A in float64, summed from the products of the nonzeros that share
+    a row; exact while nrows max|a|^2 < 2^53, as every partial sum is then an
+    integer below it.  The products are formed ``_PANEL`` ncols / 2 at a
+    time, so that their temporaries hold about as much as a panel of the
+    factorization."""
+    n = a.ncols
+    ptr = np.searchsorted(a.rows, np.arange(a.nrows + 1))
+    first, deg = ptr[a.rows], np.diff(ptr)[a.rows]  # of each nonzero's row
+    ends = np.cumsum(deg)
+    vals = a.vals.astype(np.float64)
+    g = np.zeros(n * n)
+    e0 = 0
+    while e0 < ends.size:
+        done = ends[e0 - 1] if e0 else 0
+        e1 = int(np.searchsorted(ends, done + _PANEL * n // 2, side="right"))
+        d = deg[e0:e1]
+        left = np.repeat(np.arange(e0, e1), d)
+        right = np.repeat(first[e0:e1] - (np.cumsum(d) - d), d) + np.arange(left.size)
+        np.add.at(g, a.cols[left] * n + a.cols[right], vals[left] * vals[right])
+        e0 = e1
+    return g.reshape(n, n)
+
+
+def _positive_definite(g: np.ndarray) -> bool:
+    """Whether a completed Cholesky factorization of G - cI proves that the
+    integer matrix ``g`` (exact in float64, overwritten) is positive definite;
+    the shift c and the proof are in the module docstring.  The factor takes
+    the lower triangle, panel by panel; a nonzero entry of it below ``_TINY``
+    in magnitude refuses."""
+    n = len(g)
+    # c = 2^e > 2 gamma/(1 - gamma) trace(G) = num / den, as gamma/(1 - gamma)
+    # = (n+1) u / (1 - 2 (n+1) u); e >= -55, as num >= 0 and den < 2^53
+    num, den = 2 * (n + 1) * sum(map(int, g.diagonal().tolist())), (1 << 53) - 2 * (n + 1)
+    e = num.bit_length() - den.bit_length() - 1
+    while den << (e + 64) <= num << 64:
+        e += 1
+    g.flat[::n + 1] -= ldexp(1.0, e)
+    for k0 in range(0, n, _PANEL):
+        k1 = min(k0 + _PANEL, n)
+        col, b = g[k0:, k0:k1], k1 - k0
+        if k0:
+            col -= g[k0:, :k0] @ g[k0:k1, :k0].T
+        try:
+            col[:b] = np.linalg.cholesky(col[:b])
+        except np.linalg.LinAlgError:
+            return False
+        if k1 < n:
+            # L21 L11^T = A21, reversed so that the system is upper triangular
+            col[b:] = np.linalg.solve(col[b - 1::-1, ::-1], col[b:, ::-1].T)[::-1].T
+        mag = np.abs(col)
+        if ((mag > 0) & (mag < _TINY)).any():
+            return False
+    return True
+
+
+def _cholesky_certifies(a: _Rows) -> bool:
+    """Whether :func:`_positive_definite` proves that the tall matrix ``a``
+    has full column rank, from G = A^T A.  Refused before G is allocated
+    where it would hold more than the budget, or than the echelon form would
+    (so for n > 1024), where G could be inexact, or where its products of
+    nonzeros sharing a row, sum(row length^2), outnumber the m n entries of
+    the dense image (the echelon form's own work is of that order)."""
+    m, n = a.nrows, a.ncols
+    if (n * n + _BLOCK * n > DENSE_ELEMS_CAP
+            or n * n > -(-n * n // 4) + 3 * _BLOCK * n
+            or m * a.max_abs ** 2 >= 1 << 53
+            or (np.bincount(a.rows, minlength=m) ** 2).sum() > m * n):
+        return False
+    return _positive_definite(_gram(a))
 
 
 # ---------------------------------------------------------------------------
@@ -581,15 +734,14 @@ def _try_reconstruct_vector(xacc, m: int):
     return nums, den
 
 
-def _annihilated(sp: SparseCols, v: np.ndarray) -> np.ndarray:
-    """Which columns of the integer matrix ``v`` sp maps to zero, exactly, by
-    row blocks: in float64 where max|sp| ncols max|v| < 2^53, else in ints."""
-    exact = sp.max_abs() * sp.ncols * int(np.abs(v).max()) < 1 << 53
+def _annihilated(a: _Rows, v: np.ndarray) -> np.ndarray:
+    """Which columns of the integer matrix ``v`` a maps to zero, exactly, by
+    row blocks: in float64 where max|a| ncols max|v| < 2^53, else in ints."""
+    exact = a.max_abs * a.ncols * int(np.abs(v).max()) < 1 << 53
     dtype = np.float64 if exact else object
     v, zero = v.astype(dtype, copy=False), np.ones(v.shape[1], dtype=bool)
-    vals = np.array([x for col in sp.cols for _, x in col], dtype=dtype)
-    for t, rows, cols, blk_vals in _row_blocks(sp, vals):
-        blk = np.zeros((t, sp.ncols), dtype=dtype)
+    for t, rows, cols, blk_vals in _row_blocks(a, a.vals.astype(dtype)):
+        blk = np.zeros((t, a.ncols), dtype=dtype)
         blk[rows, cols] = blk_vals
         zero &= ~(blk @ v != 0).any(axis=0)
     return zero
@@ -603,24 +755,40 @@ def _crt(acc: np.ndarray, m: int, res: np.ndarray, q: int) -> np.ndarray:
     return out
 
 
-def exact_right_null_vectors(matrix, count: int, ech: _Echelon) -> list[list[int]]:
+class NullVectors(list):
+    """Independent integer kernel vectors, each verified exactly, and
+    ``rank``, the rank mod p of the echelon form whose kernel basis they were
+    read from: a lower bound for the rational rank, so they certify it when
+    they number ncols - rank."""
+
+    def __init__(self, vectors=(), rank: int = 0):
+        super().__init__(vectors)
+        self.rank = rank
+
+
+def exact_right_null_vectors(matrix, count: int, ech: _Echelon) -> NullVectors:
     """Up to ``count`` independent integer vectors v with M v = 0, each verified
     exactly, from the first ``count`` columns of [-X; I] in ``ech``, M's
     echelon form mod p (unit free coordinates make them independent).
+    ``matrix`` is anything :func:`exact_rank_info` takes, or M's nonzeros
+    already sorted by row, which every fallback prime and check reads.
 
     Each is rationally reconstructed and checked by :func:`_annihilated`.
     While some fail, X is combined on them by CRT with the echelon form at
     the next fallback prime, if its rank and pivot set (column rank profile)
     agree: the rational form reduces to it there.  An unlucky prime only
     lowers the rank or moves a pivot right, so a higher rank, or a
-    lexicographically smaller pivot set, restarts the combination.
+    lexicographically smaller pivot set, restarts the combination.  The
+    vectors returned belong to the last start, and ``rank`` is its rank mod
+    p, so a certificate completed after a restart at a higher rank certifies
+    that rank.
     """
-    sp = _coerce(matrix)
+    a = matrix if isinstance(matrix, _Rows) else _by_rows(_coerce(matrix))
     primes = _primes_down(min(SMALL_PRIMES))
     best, vectors = None, []
     for tried in range(CRT_MAX_PRIMES + 1):
         if tried:
-            ech = _echelon(sp, next(primes))
+            ech = _echelon(a, next(primes))
         order = np.argsort(ech.piv)
         key = (-ech.piv.size, ech.piv[order].tolist())
         if best is None or key < best:
@@ -642,18 +810,18 @@ def exact_right_null_vectors(matrix, count: int, ech: _Echelon) -> list[list[int
             rational[k], good[k] = recon, True
         if good.any():
             cand = np.flatnonzero(good)
-            v = np.zeros((sp.ncols, cand.size), dtype=acc.dtype)
+            v = np.zeros((a.ncols, cand.size), dtype=acc.dtype)
             v[piv] = acc[:, cand]
             v[free[todo[cand]], np.arange(cand.size)] = 1
             for j, k in enumerate(cand):
                 if k in rational:
                     v[piv, j], v[free[todo[k]], j] = rational[k]
-            passed = _annihilated(sp, v)
+            passed = _annihilated(a, v)
             vectors += v[:, passed].T.tolist()
             todo, acc = np.delete(todo, cand[passed]), np.delete(acc, cand[passed], axis=1)
         if not todo.size:
             break
-    return vectors
+    return NullVectors(vectors, piv.size)
 
 
 # ---------------------------------------------------------------------------
@@ -782,9 +950,11 @@ def _exact_rank_info_inner(sp: SparseCols, seed: int) -> RankInfo:
         return RankInfo(base + rank_bareiss(core), True, "peel+bareiss", shape, nnz)
     # rank(sp) = base + rank(core) exactly, so certifying the core suffices;
     # in its tall orientation the kernel to certify is a right kernel
-    tall = core if core.nrows >= core.ncols else core.transpose()
+    tall = _by_rows(core if core.nrows >= core.ncols else core.transpose())
+    if _cholesky_certifies(tall):
+        return RankInfo(base + mind, True, "peel+modular-full", shape, nnz)
     r = 0
-    for p in _engine_primes(shape, seed, core.max_abs())[:5]:
+    for p in _engine_primes(shape, seed, tall.max_abs)[:5]:
         ech = _echelon(tall, p)
         if ech.piv.size == mind:
             return RankInfo(base + mind, True, "peel+modular-full", shape, nnz)
@@ -792,8 +962,8 @@ def _exact_rank_info_inner(sp: SparseCols, seed: int) -> RankInfo:
             continue
         # the prime bounds the rank from below; exact kernel vectors read
         # from the same echelon form cap it from above
-        r = ech.piv.size
-        vecs = exact_right_null_vectors(tall, mind - r, ech)
+        vecs = exact_right_null_vectors(tall, mind - ech.piv.size, ech)
+        r = vecs.rank
         if len(vecs) == mind - r:
             return RankInfo(base + r, True, "peel+modular+nullcert", shape, nnz)
     return RankInfo(base + r, False, "modular-consensus", shape, nnz)

@@ -72,7 +72,8 @@ def starved_engine(monkeypatch):
     """An engine that certifies no rank-deficient core: Bareiss never runs and
     the null-vector certificate is withheld, so a deficient core comes back as
     ``modular-consensus``, with the rank mod p as an uncertified lower bound."""
-    monkeypatch.setattr(ranks, "exact_right_null_vectors", lambda *args, **kwargs: [])
+    monkeypatch.setattr(ranks, "exact_right_null_vectors",
+                        lambda matrix, count, ech: ranks.NullVectors([], ech.piv.size))
     monkeypatch.setattr(ranks, "BAREISS_OPS_CAP", 0)
     # the path algebras hold the only memo of certified path ranks
     reductions._path_algebra.cache_clear()

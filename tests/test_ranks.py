@@ -11,6 +11,7 @@ from wlpgraph import ranks
 from wlpgraph.ranks import (
     SMALL_PRIMES,
     SparseCols,
+    _by_rows,
     _dense_mod,
     _echelon,
     _engine_primes,
@@ -63,7 +64,7 @@ def _null_vectors_at(matrix, count, seed):
     drawn from ``seed``."""
     sp = ranks._coerce(matrix)
     p = SMALL_PRIMES[random.Random(seed).randrange(len(SMALL_PRIMES))]
-    return exact_right_null_vectors(sp, count, _echelon(sp, p))
+    return exact_right_null_vectors(sp, count, _echelon(_by_rows(sp), p))
 
 
 class TestSparseCols:
@@ -213,7 +214,8 @@ class TestModular:
             m = random_matrix(rng, max_dim=60, low_rank=trial % 2 == 0)
             p = SMALL_PRIMES[trial % len(SMALL_PRIMES)]
             sp = SparseCols.from_dense(m)
-            assert _echelon(sp, p).piv.size == _rank_mod_p_int64(_dense_mod(sp, p, np.int64), p)
+            assert (_echelon(_by_rows(sp), p).piv.size
+                    == _rank_mod_p_int64(_dense_mod(sp, p, np.int64), p))
 
 
 @st.composite
@@ -298,7 +300,7 @@ class TestModularKernels:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(ranks, "_BLOCK", block)
                 mp.setattr(ranks, "_LEAF", leaf)
-                ech = _echelon(sp, p)
+                ech = _echelon(_by_rows(sp), p)
             _assert_rref(ech, a)
             assert sorted(ech.piv.tolist()) == _column_profile(m)
             order = np.argsort(ech.piv)
@@ -324,7 +326,7 @@ class TestModularKernels:
         monkeypatch.setattr(ranks, "_EXACT_TERMS", 64)
         products = _spy(monkeypatch, "_reduce")
         sp = SparseCols.from_dense(a)
-        ech = _echelon(sp, p)
+        ech = _echelon(_by_rows(sp), p)
         am = np.array(a, dtype=np.int64) % p
         assert ech.piv.size == _rank_mod_p_int64(am, p) == nc - 3
         assert ech.free.tolist() == [100, 450, 599]
@@ -344,7 +346,7 @@ class TestModularKernels:
             row[100] = 0
         p = SMALL_PRIMES[0]
         sp = SparseCols.from_dense(m)
-        ech = _echelon(sp, p)
+        ech = _echelon(_by_rows(sp), p)
         assert ech.piv.size == rank_bareiss(m) == nc - 3
         a = np.array(m, dtype=np.int64) % p
         _assert_rref(ech, a)
@@ -372,6 +374,18 @@ class TestPeel:
     def test_diagonal_fully_peels(self):
         core, base = _peel(SparseCols.from_dense([[3, 0], [0, 2]]))
         assert base == 2 and core.nrows == 0
+
+    def test_nothing_to_peel_returns_the_matrix(self, rng):
+        # every row and column holds two nonzeros or more: the matrix is its
+        # own core, the same one the full peel builds once a zero row, which
+        # it drops, sends it down that path
+        m = [[rng.choice((-1, 1)) if (i - j) % 7 in (0, 3) else 0 for j in range(21)]
+             for i in range(30)]
+        sp = SparseCols.from_dense(m)
+        core, base = _peel(sp)
+        assert core is sp and base == 0
+        padded, base = _peel(SparseCols.from_dense(m + [[0] * 21]))
+        assert base == 0 and padded.to_dense() == m
 
     def test_peel_preserves_rank(self, rng):
         for trial in range(60):
@@ -468,7 +482,9 @@ class TestExactRankInfo:
         assert exact_rank_info([[0, 0], [0, 0]]).rank == 0
         assert exact_rank_info([[]]).rank == 0
 
-    def test_large_full_rank_certified(self):
+    def test_large_full_rank_certified(self, monkeypatch):
+        # the modular route: the Cholesky stage is switched off
+        monkeypatch.setattr(ranks, "_cholesky_certifies", lambda a: False)
         rng2 = np.random.default_rng(5)
         m = rng2.integers(0, 2, size=(420, 260)).tolist()
         info = exact_rank_info(m)
@@ -534,7 +550,7 @@ class TestExactRankInfo:
         assert (core.nrows, core.ncols) == shape
         assert shape[0] * shape[1] * min(shape) > ranks.BAREISS_OPS_CAP  # not Bareiss
 
-        ech = _echelon(sp, p)
+        ech = _echelon(_by_rows(sp), p)
         assert ech.piv.size == k
         # some column of p's kernel basis [-X; I] is no rational kernel vector
         basis = np.zeros((shape[1], ech.free.size), dtype=np.int64)
@@ -549,23 +565,23 @@ class TestExactRankInfo:
         assert info.certified and info.method == "peel+modular+nullcert"
         assert info.rank == rank_bareiss(sp) == k + 1
         # the first fallback prime has rank k + 1, so it restarts the
-        # combination: the first certificate drops p's basis and returns the
-        # kernel of rank k + 1, too few for the nullity it was asked for;
-        # the engine's next prime then certifies that rank
-        ((_, count_p, ech_p), _, vecs_p), ((_, count, ech2), _, vecs) = nullcert
+        # combination: the one certificate drops p's basis and completes the
+        # kernel of rank k + 1, which certifies that rank, so no engine prime
+        # after p is tried
+        (((_, count_p, ech_p), _, vecs),) = nullcert
         assert ech_p.p == p and count_p == shape[1] - k
-        assert [e.piv.size for _, _, e in echelons[1:3]] == [k + 1, k + 1]
-        assert echelons[1][0][1] not in SMALL_PRIMES
-        assert len(vecs_p) == shape[1] - k - 1
-        assert ech2.p != p and count == len(vecs) == shape[1] - k - 1
+        assert echelons[1][2].piv.size == k + 1
+        assert all(args[1] not in SMALL_PRIMES for args, _, _ in echelons[1:])
+        assert vecs.rank == k + 1 and len(vecs) == shape[1] - k - 1
         assert len(combined) < ranks.CRT_MAX_PRIMES
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(2, 40), st.integers(2, 40), st.data())
     def test_unlucky_prime_property(self, nrows, ncols, data):
-        # the construction above at small sizes, with Bareiss switched off so
-        # that the modular route runs: modulo the first prime p the matrix is
-        # a b, of rank at most k, while over Q it is a b + p u w^T
+        # the construction above at small sizes, with Bareiss and the
+        # Cholesky stage switched off so that the modular route runs: modulo
+        # the first prime p the matrix is a b, of rank at most k, while over
+        # Q it is a b + p u w^T
         k = data.draw(st.integers(1, min(nrows, ncols) - 1), label="k")
         rng2 = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         shape = (nrows, ncols)
@@ -582,6 +598,7 @@ class TestExactRankInfo:
         echelons = []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ranks, "BAREISS_OPS_CAP", 0)
+            mp.setattr(ranks, "_cholesky_certifies", lambda a: False)
             mp.setattr(ranks, "_echelon", lambda *args: echelons.append(args) or original(*args))
             info = exact_rank_info(sp)
         assert info.certified and info.method.startswith("peel+modular")
@@ -642,6 +659,127 @@ class TestExactRankInfo:
             info = exact_rank_info(m, seed=trial)
             assert info.certified
             assert info.rank == rank_bareiss(m)
+
+
+def _sparse_tall(rng, nrows, ncols, per_row=4):
+    """A tall 0/+-1 matrix with ``per_row`` nonzeros in each row, and one in
+    column i of row i, so that nothing peels and the rank is usually full."""
+    cols = [[] for _ in range(ncols)]
+    for i in range(nrows):
+        picked = set(rng.sample(range(ncols), per_row - 1)) | ({i} if i < ncols else set())
+        for j in picked:
+            cols[j].append((i, rng.choice((-1, 1))))
+    return SparseCols(nrows, ncols, [sorted(col) for col in cols])
+
+
+@st.composite
+def _deficient_tall(draw):
+    """Tall integer matrices of rank below their column count, B C with B
+    small and C's entries up to the bound nrows max|a|^2 < 2^53 under which
+    A^T A is exact; zero, repeated and scaled columns among them."""
+    nr = draw(st.integers(1, 30))
+    nc = draw(st.integers(1, nr))
+    k = draw(st.integers(0, nc - 1))
+    bits = draw(st.integers(0, (53 - nr.bit_length() - 2 * (2 * k + 1).bit_length()) // 2))
+    entry = st.one_of(st.integers(-3, 3), st.integers(-(1 << bits), 1 << bits))
+    b = draw(st.lists(st.lists(st.integers(-2, 2), min_size=k, max_size=k),
+                      min_size=nr, max_size=nr))
+    c = draw(st.lists(st.lists(entry, min_size=nc, max_size=nc), min_size=k, max_size=k))
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*c)] if k else [0] * nc
+            for row in b]
+
+
+class TestCholeskyCertificate:
+    @settings(max_examples=150, deadline=None)
+    @given(_deficient_tall(), st.sampled_from((2, 5, ranks._PANEL)))
+    @example([[1, 1 << 20], [2, 1 << 21], [3, 3 << 20]], ranks._PANEL)
+    @example([[0, 0, 0]] * 4, 2)
+    def test_never_certifies_a_deficient_matrix(self, m, panel):
+        # G = A^T A is singular, so the proof must fail whatever the entries;
+        # the factorization runs on G itself, past the stage's other gates,
+        # in panels of 2 and 5 columns too
+        a = np.array(m, dtype=object)
+        assert len(m) * int(np.abs(a).max()) ** 2 < 1 << 53
+        assert rank_bareiss(m) < a.shape[1]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ranks, "_PANEL", panel)
+            assert not ranks._positive_definite((a.T @ a).astype(np.float64))
+            assert not ranks._cholesky_certifies(_by_rows(SparseCols.from_dense(m)))
+
+    def test_gram_is_exact(self, rng, monkeypatch):
+        # a chunk of 2 n products of nonzeros at a time, so rows are split
+        # across chunks; zero rows and entries near the 2^53 bound
+        sp = _sparse_tall(rng, 90, 70)
+        big = (1 << 23) - 1
+        sp.cols[5] = [(i, v * big) for i, v in sp.cols[5]]
+        sp.cols[6] = []
+        sp.nrows += 3
+        monkeypatch.setattr(ranks, "_PANEL", 4)
+        a = np.array(sp.to_dense(), dtype=np.int64)
+        assert np.array_equal(ranks._gram(_by_rows(sp)), (a.T @ a).astype(np.float64))
+
+    def test_agrees_with_bareiss_on_sparse_cores(self, rng, monkeypatch):
+        # sparse 0/+-1 cores over the Bareiss cap, of two or more panels:
+        # the stage certifies those of full column rank with no echelon
+        # form, and leaves those with a repeated column, or one that is the
+        # sum of two others, to it
+        stage = _spy(monkeypatch, "_cholesky_certifies")
+        echelons = _spy(monkeypatch, "_echelon")
+        for trial, (nr, nc) in enumerate([(160, 120), (150, 130), (200, 128), (140, 139)]):
+            sp = _sparse_tall(rng, nr, nc)
+            if trial >= 2:
+                m = sp.to_dense()
+                for row in m:
+                    row.append(row[3] if trial == 2 else row[0] + row[1])
+                sp = SparseCols.from_dense(m)
+            want = rank_bareiss(sp)
+            info = exact_rank_info(sp)
+            assert info.certified and info.rank == want
+            core, base = _peel(sp)
+            certified = stage[-1][2]
+            assert certified == (want - base == min(core.nrows, core.ncols))
+            assert info.method == ("peel+modular-full" if certified else "peel+modular+nullcert")
+            assert bool(echelons) != certified
+            echelons.clear()
+        assert [out for _, _, out in stage] == [True, True, False, False]
+
+    def test_refusals(self, rng, monkeypatch):
+        # refused before G is allocated: over the budget, over the echelon
+        # form's own footprint (n > 1024), where G could be inexact, or where
+        # the rows are too dense; after the factorization where some nonzero
+        # entry of the factor is below _TINY
+        gram = _spy(monkeypatch, "_gram")
+        sp = _sparse_tall(rng, 160, 120)
+        a = _by_rows(sp)
+        n = a.ncols
+        monkeypatch.setattr(ranks, "DENSE_ELEMS_CAP", n * n + ranks._BLOCK * n - 1)
+        assert not ranks._cholesky_certifies(a) and not gram
+        monkeypatch.setattr(ranks, "DENSE_ELEMS_CAP", n * n + ranks._BLOCK * n)
+        assert ranks._cholesky_certifies(a) and len(gram) == 1
+        monkeypatch.undo()
+        gram = _spy(monkeypatch, "_gram")
+
+        for n in (1024, 1025):  # [I; I]: G = 2I
+            twice = SparseCols(2 * n, n, [[(j, 1), (n + j, 1)] for j in range(n)])
+            assert ranks._cholesky_certifies(_by_rows(twice)) == (n == 1024)
+        assert len(gram) == 1
+
+        big = SparseCols(sp.nrows, sp.ncols, [list(col) for col in sp.cols])
+        i, v = big.cols[0][0]
+        big.cols[0][0] = (i, v << 25)
+        assert sp.nrows * (1 << 25) ** 2 >= 1 << 53
+        assert not ranks._cholesky_certifies(_by_rows(big))
+        dense = SparseCols.from_dense(np.random.default_rng(3).integers(1, 3, (130, 110)).tolist())
+        assert not ranks._cholesky_certifies(_by_rows(dense))
+        assert len(gram) == 1
+        # both still certified, by the echelon form
+        for m in (big, dense):
+            info = exact_rank_info(m)
+            assert info.certified and info.method == "peel+modular-full" and info.rank == m.ncols
+
+        monkeypatch.setattr(ranks, "_TINY", 1.0)
+        assert not ranks._cholesky_certifies(a)
+        assert len(gram) == 2
 
 
 class TestRankProperties:
