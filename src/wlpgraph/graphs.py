@@ -70,6 +70,13 @@ def _set_to_mask(s) -> int:
     return mask
 
 
+def mask_bits(mask: int):
+    """The vertices of a bit mask, ascending."""
+    while mask:
+        yield (mask & -mask).bit_length() - 1
+        mask &= mask - 1
+
+
 def _build(n: int, edge_pairs, label_map=None) -> Graph:
     nbrs: list[set[int]] = [set() for _ in range(n)]
     for u, v in edge_pairs:

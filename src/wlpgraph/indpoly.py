@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .graphs import Graph, path
+from .graphs import Graph, mask_bits, path
 
 
 @dataclass(frozen=True)
@@ -245,13 +245,7 @@ def independent_sets_of_size(g: Graph, k: int):
     groups = independent_set_masks_by_size(g)
     if k >= len(groups):
         return []
-    return [frozenset(_mask_bits(m)) for m in groups[k]]
-
-
-def _mask_bits(mask: int):
-    while mask:
-        yield (mask & -mask).bit_length() - 1
-        mask &= mask - 1
+    return [frozenset(mask_bits(m)) for m in groups[k]]
 
 
 @lru_cache(maxsize=None)

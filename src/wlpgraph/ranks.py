@@ -5,7 +5,8 @@ arbitrary-precision integers -- unconditional -- in their wide orientation,
 with partial pivoting on magnitude (smallest nonzero pivot, to limit entry
 growth) and each row's scaling deferred until it is next eliminated.
 
-Larger ones are peeled of singleton rows and columns (an exact rank split).
+Larger ones are peeled of singleton rows and columns (an exact rank split),
+by counts of each line's nonzeros kept as lines are deleted (:func:`_peel`).
 A core of full column rank in its tall orientation (m x n, m >= n) is then
 certified without a prime, by a verified Cholesky factorization
 (:func:`_cholesky_certifies`): A has full column rank over Q exactly when
@@ -18,7 +19,7 @@ G = A^T A is positive definite.
    arithmetic).  The shift G - cI is exact: 2^53 c > trace(G) >= g_ii, so
    g_ii - c is a multiple of c below 2^53 c.
 3. G - cI is factored in place.  If the factorization completes, the rank is
-   n; otherwise G is freed and the prime loop below runs.
+   n; otherwise G is freed and the echelon form below is computed.
 
 Why a completed factorization is a proof (Demmel; Higham, *Accuracy and
 Stability of Numerical Algorithms*, 2nd ed., Thm 10.3; Rump, BIT 46 (2006)
@@ -46,8 +47,8 @@ so partial pivoting keeps the diagonal and the multipliers are exact zeros.
 It holds G and O(``_BLOCK`` n) elements, and is tried only where that is no
 more than the echelon form below would hold.
 
-Every other core (deficient, or refused by that stage) has its rows
-streamed in blocks through a reduced row echelon form [I | X] modulo a prime
+Every other core (deficient, or refused by that stage) has its rows streamed
+in blocks through a reduced row echelon form [I | X] modulo one prime
 p < 2^20 (:func:`_echelon`), holding only X and one row block.  Pivots are
 leftmost, so the pivot set is the column rank profile mod p.  The echelon
 form gives both halves of the certificate: the rank mod p, a lower bound for
@@ -327,72 +328,49 @@ def _peel(sp: SparseCols):
     pivot row can be deleted outright (clearing the pivot row only alters the
     row being deleted); symmetrically for singleton rows.  Zero rows/columns
     are dropped.  All of this is exact over any field, in particular over Q.
-    A matrix whose every row and column holds two nonzeros or more is its
-    own core, and comes back as it is.
+    Each line's nonzeros are counted once; a deletion lowers the counts of the
+    lines it crosses, and a count that reaches 1 queues its line.  A matrix
+    whose counts all start at 2 or more is its own core, and comes back as is.
     """
-    if sp.ncols and all(len(col) > 1 for col in sp.cols):
-        seen = [0] * sp.nrows
-        for col in sp.cols:
-            for i, _ in col:
-                seen[i] += 1
-        if min(seen) > 1:
-            return sp, 0
-    rows: dict[int, dict[int, int]] = {}
-    cols: dict[int, set[int]] = {}
+    rows: list[list[int]] = [[] for _ in range(sp.nrows)]
     for j, col in enumerate(sp.cols):
-        for i, v in col:
-            rows.setdefault(i, {})[j] = v
-            cols.setdefault(j, set()).add(i)
+        for i, _ in col:
+            rows[i].append(j)
+    rdeg = [len(row) for row in rows]
+    cdeg = [len(col) for col in sp.cols]
+    if min(rdeg, default=0) > 1 and min(cdeg, default=0) > 1:
+        return sp, 0
+    todo_c = [j for j, d in enumerate(cdeg) if d == 1]
+    todo_r = [i for i, d in enumerate(rdeg) if d == 1]
     base = 0
-
-    def kill_row(i: int):
-        for j in list(rows[i]):
-            cols[j].discard(i)
-            if not cols[j]:
-                del cols[j]
-        del rows[i]
-
-    def kill_col(j: int):
-        for i in list(cols[j]):
-            del rows[i][j]
-            if not rows[i]:
-                del rows[i]
-        del cols[j]
-
-    changed = True
-    while changed:
-        changed = False
-        for j in [j for j, rs in cols.items() if len(rs) == 1]:
-            if j not in cols or len(cols[j]) != 1:
+    while todo_c or todo_r:
+        if todo_c:
+            j = todo_c.pop()
+            if cdeg[j] != 1:
                 continue
-            (i,) = cols[j]
-            kill_col(j)
-            if i in rows:
-                kill_row(i)
-            base += 1
-            changed = True
-        for i in [i for i, cs in rows.items() if len(cs) == 1]:
-            if i not in rows or len(rows[i]) != 1:
+            i = next(i for i, _ in sp.cols[j] if rdeg[i])
+        else:
+            i = todo_r.pop()
+            if rdeg[i] != 1:
                 continue
-            (j,) = rows[i]
-            kill_row(i)
-            if j in cols:
-                kill_col(j)
-            base += 1
-            changed = True
-    if not rows:
-        return SparseCols(0, 0, []), base
-    row_idx = sorted(rows)
-    col_idx = sorted(cols)
-    rpos = {r: k for k, r in enumerate(row_idx)}
-    cpos = {c: k for k, c in enumerate(col_idx)}
-    out_cols: list[list[tuple[int, int]]] = [[] for _ in col_idx]
-    for i, cs in rows.items():
-        for j, v in cs.items():
-            out_cols[cpos[j]].append((rpos[i], v))
-    for col in out_cols:
-        col.sort()
-    return SparseCols(len(row_idx), len(col_idx), out_cols), base
+            j = next(j for j in rows[i] if cdeg[j])
+        # delete row i and column j; one of them held no other live nonzero
+        rdeg[i] = cdeg[j] = 0
+        for c in rows[i]:
+            if cdeg[c]:
+                cdeg[c] -= 1
+                if cdeg[c] == 1:
+                    todo_c.append(c)
+        for r, _ in sp.cols[j]:
+            if rdeg[r]:
+                rdeg[r] -= 1
+                if rdeg[r] == 1:
+                    todo_r.append(r)
+        base += 1
+    keep = [i for i, d in enumerate(rdeg) if d]  # if none, no column is left either
+    pos = dict(zip(keep, range(len(keep))))
+    cols = [[(pos[i], v) for i, v in col if rdeg[i]] for col, d in zip(sp.cols, cdeg) if d]
+    return SparseCols(len(keep), len(cols), cols), base
 
 
 # ---------------------------------------------------------------------------
@@ -407,14 +385,13 @@ def _budget(sp: SparseCols | _Rows, held: int) -> None:
             f"{DENSE_ELEMS_CAP} elements (DENSE_ELEMS_CAP): it would hold {held}")
 
 
-def _dense_mod(sp: SparseCols, p: int | None, dtype=np.float64) -> np.ndarray:
-    """Dense image of sp with entries reduced into [0, p) (exact if p is None)."""
+def _dense(sp: SparseCols) -> np.ndarray:
+    """Dense integer image of sp: int64, or Python ints if some |entry| >= 2^63."""
     _budget(sp, sp.nrows * sp.ncols)
-    a = np.zeros((sp.nrows, sp.ncols), dtype=dtype)
+    a = np.zeros((sp.nrows, sp.ncols), dtype=np.int64 if sp.max_abs() < 1 << 63 else object)
     rows = [i for col in sp.cols for i, _ in col]
     cols = [j for j, col in enumerate(sp.cols) for _ in col]
-    vals = [v for col in sp.cols for _, v in col]
-    a[rows, cols] = vals if p is None else [v % p for v in vals]
+    a[rows, cols] = [v for col in sp.cols for _, v in col]
     return a
 
 
@@ -592,7 +569,7 @@ def rank_modular(matrix, prime_count: int = 3, seed: int = 0) -> int:
     sp = _coerce(matrix)
     if sp.nrows == 0 or sp.ncols == 0:
         return 0
-    a = _dense_mod(sp, None, np.int64 if sp.max_abs() < 1 << 63 else object)
+    a = _dense(sp)
     best = 0
     for p in _crosscheck_primes(seed, prime_count):
         best = max(best, _rank_mod_p_int64(a, p))
@@ -770,8 +747,8 @@ def exact_right_null_vectors(matrix, count: int, ech: _Echelon) -> NullVectors:
     """Up to ``count`` independent integer vectors v with M v = 0, each verified
     exactly, from the first ``count`` columns of [-X; I] in ``ech``, M's
     echelon form mod p (unit free coordinates make them independent).
-    ``matrix`` is anything :func:`exact_rank_info` takes, or M's nonzeros
-    already sorted by row, which every fallback prime and check reads.
+    ``matrix`` holds M's nonzeros sorted by row (:func:`_by_rows`), which
+    every fallback prime and check reads.
 
     Each is rationally reconstructed and checked by :func:`_annihilated`.
     While some fail, X is combined on them by CRT with the echelon form at
@@ -783,12 +760,11 @@ def exact_right_null_vectors(matrix, count: int, ech: _Echelon) -> NullVectors:
     p, so a certificate completed after a restart at a higher rank certifies
     that rank.
     """
-    a = matrix if isinstance(matrix, _Rows) else _by_rows(_coerce(matrix))
     primes = _primes_down(min(SMALL_PRIMES))
     best, vectors = None, []
     for tried in range(CRT_MAX_PRIMES + 1):
         if tried:
-            ech = _echelon(a, next(primes))
+            ech = _echelon(matrix, next(primes))
         order = np.argsort(ech.piv)
         key = (-ech.piv.size, ech.piv[order].tolist())
         if best is None or key < best:
@@ -810,13 +786,13 @@ def exact_right_null_vectors(matrix, count: int, ech: _Echelon) -> NullVectors:
             rational[k], good[k] = recon, True
         if good.any():
             cand = np.flatnonzero(good)
-            v = np.zeros((a.ncols, cand.size), dtype=acc.dtype)
+            v = np.zeros((matrix.ncols, cand.size), dtype=acc.dtype)
             v[piv] = acc[:, cand]
             v[free[todo[cand]], np.arange(cand.size)] = 1
             for j, k in enumerate(cand):
                 if k in rational:
                     v[piv, j], v[free[todo[k]], j] = rational[k]
-            passed = _annihilated(a, v)
+            passed = _annihilated(matrix, v)
             vectors += v[:, passed].T.tolist()
             todo, acc = np.delete(todo, cand[passed]), np.delete(acc, cand[passed], axis=1)
         if not todo.size:
@@ -890,11 +866,12 @@ def exact_rank_info(matrix, seed: int = 0) -> RankInfo:
     """Rank over Q with the route picked by size.
 
     Small matrices go through Bareiss (unconditional).  Larger ones are
-    peeled, and the core is echelonized once modulo a small prime: full
-    modular rank certifies itself, and a deficient rank, of any nullity, is
-    certified by exact integer null vectors of the core (one per unit of its
-    nullity) read from the same echelon form.  If a certificate cannot be
-    completed at up to five primes, the best modular rank is returned with
+    peeled, and the core is echelonized once modulo a small prime drawn from
+    its shape and ``seed``: full modular rank certifies itself, and a
+    deficient rank, of any nullity, is certified by exact integer null
+    vectors of the core (one per unit of its nullity) read from the same
+    echelon form, or from the fallback primes of the certificate.  If it
+    cannot be completed, the highest rank mod p it reached is returned with
     ``certified=False``; a core whose elimination would hold more than
     ``DENSE_ELEMS_CAP`` elements raises :class:`UncertifiedRankError`.
     """
@@ -929,12 +906,12 @@ def crosscheck_structured_rank(rank: int, min_dim: int, build, where: str) -> No
         )
 
 
-def _engine_primes(shape: tuple[int, int], seed: int, max_entry: int) -> list[int]:
-    """The small primes the engine tries, in order, for a matrix of this shape."""
+def _engine_prime(shape: tuple[int, int], seed: int, max_entry: int) -> int:
+    """The engine's prime for this shape: the first of a seeded shuffle above every entry."""
     rng = random.Random(seed ^ (shape[0] * 1_000_003 + shape[1]))
     primes = list(SMALL_PRIMES)
     rng.shuffle(primes)
-    return [p for p in primes if p > max_entry] or primes
+    return next((p for p in primes if p > max_entry), primes[0])
 
 
 def _exact_rank_info_inner(sp: SparseCols, seed: int) -> RankInfo:
@@ -953,17 +930,11 @@ def _exact_rank_info_inner(sp: SparseCols, seed: int) -> RankInfo:
     tall = _by_rows(core if core.nrows >= core.ncols else core.transpose())
     if _cholesky_certifies(tall):
         return RankInfo(base + mind, True, "peel+modular-full", shape, nnz)
-    r = 0
-    for p in _engine_primes(shape, seed, tall.max_abs)[:5]:
-        ech = _echelon(tall, p)
-        if ech.piv.size == mind:
-            return RankInfo(base + mind, True, "peel+modular-full", shape, nnz)
-        if ech.piv.size <= r:
-            continue
-        # the prime bounds the rank from below; exact kernel vectors read
-        # from the same echelon form cap it from above
-        vecs = exact_right_null_vectors(tall, mind - ech.piv.size, ech)
-        r = vecs.rank
-        if len(vecs) == mind - r:
-            return RankInfo(base + r, True, "peel+modular+nullcert", shape, nnz)
-    return RankInfo(base + r, False, "modular-consensus", shape, nnz)
+    # the rank mod p bounds the rank from below; exact kernel vectors cap it
+    ech = _echelon(tall, _engine_prime(shape, seed, tall.max_abs))
+    if ech.piv.size == mind:
+        return RankInfo(base + mind, True, "peel+modular-full", shape, nnz)
+    vecs = exact_right_null_vectors(tall, mind - ech.piv.size, ech)
+    if len(vecs) == mind - vecs.rank:
+        return RankInfo(base + vecs.rank, True, "peel+modular+nullcert", shape, nnz)
+    return RankInfo(base + vecs.rank, False, "modular-consensus", shape, nnz)

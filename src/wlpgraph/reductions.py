@@ -99,21 +99,3 @@ def lollipop_ell_rank(m: int, n: int, i: int) -> int:
     if m > 2:  # at m = 2 the clique term is zero: skip its recursion
         rank += (m - 2) * path_ell_rank(n, i - 1)
     return rank + path_ell_rank(n - 1, i - 1) + path_ell2_rank(n, i - 1)
-
-
-def lollipop_dims(m: int, n: int) -> tuple[int, ...]:
-    """Graded dimensions of A(L_{m,n}) from the basis splitting."""
-    dims = path_dims(n)
-    dims_short = path_dims(n - 1) if n >= 2 else (1,)
-    if m == 1:
-        return path_dims(n + 1)
-    top = max(len(dims), len(dims_short) + 1)
-    out = []
-    for i in range(top + 1):
-        h = (dims[i] if i < len(dims) else 0) \
-            + (m - 1) * (dims[i - 1] if 0 <= i - 1 < len(dims) else 0) \
-            + (dims_short[i - 1] if 0 <= i - 1 < len(dims_short) else 0)
-        out.append(h)
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)

@@ -34,6 +34,7 @@ from math import factorial
 import numpy as np
 
 from . import ranks
+from .graphs import mask_bits
 
 # Backtracking nodes per graph.  When they run out the search keeps the H it
 # has; a smaller H splits less but never gives a wrong rank.
@@ -48,12 +49,6 @@ def involution_group(g) -> tuple[tuple[int, ...], ...]:
     abelian 2-group H, each as the tuple of vertex images; ``()`` if H is
     trivial.  Cached per graph."""
     return _involution_group(g.neighbor_masks)
-
-
-def _bits(mask: int):
-    while mask:
-        yield (mask & -mask).bit_length() - 1
-        mask &= mask - 1
 
 
 @lru_cache(maxsize=64)
@@ -83,7 +78,7 @@ def _refined_colours(adj) -> list[int]:
     colours = [0] * n
     count = 1
     while True:
-        sigs = [(colours[v], tuple(sorted(colours[u] for u in _bits(adj[v]))))
+        sigs = [(colours[v], tuple(sorted(colours[u] for u in mask_bits(adj[v]))))
                 for v in range(n)]
         palette = {sig: c for c, sig in enumerate(sorted(set(sigs)))}
         colours = [palette[sig] for sig in sigs]
@@ -110,7 +105,7 @@ def _search_order(adj, colours):
         k = len(order) - 1
         while k < len(order):
             v = order[k]
-            for u in _bits(adj[v] & ~seen):
+            for u in mask_bits(adj[v] & ~seen):
                 seen |= 1 << u
                 parent[u] = v
                 order.append(u)
@@ -139,7 +134,7 @@ def _search(adj, colours, order, parent, group, budget):
             if img[v] >= 0 or (used >> x) & 1 or colours[v] != colours[x]:
                 return None
             mapped = 0
-            for w in _bits(adj[v] & done):
+            for w in mask_bits(adj[v] & done):
                 mapped |= 1 << img[w]
             if mapped != adj[x] & used:
                 return None
@@ -161,7 +156,7 @@ def _search(adj, colours, order, parent, group, budget):
         v = order[k]
         p = parent[v]
         cands = (adj[img[p]] if p >= 0 else (1 << n) - 1) & ~used
-        for x in _bits(cands):
+        for x in mask_bits(cands):
             budget[0] -= 1
             if budget[0] < 0:
                 return
@@ -183,7 +178,7 @@ def _check_generator(adj, pi, group) -> None:
         raise RuntimeError(f"involution search returned {pi}, whose square is not the identity")
     for v in range(n):
         image = 0
-        for u in _bits(adj[v]):
+        for u in mask_bits(adj[v]):
             image |= 1 << pi[u]
         if image != adj[pi[v]]:
             raise RuntimeError(f"involution search returned {pi}, which breaks the edges at {v}")

@@ -12,9 +12,9 @@ from wlpgraph.ranks import (
     SMALL_PRIMES,
     SparseCols,
     _by_rows,
-    _dense_mod,
+    _dense,
     _echelon,
-    _engine_primes,
+    _engine_prime,
     _peel,
     _rank_mod_p_int64,
     _rational_reconstruct,
@@ -64,7 +64,8 @@ def _null_vectors_at(matrix, count, seed):
     drawn from ``seed``."""
     sp = ranks._coerce(matrix)
     p = SMALL_PRIMES[random.Random(seed).randrange(len(SMALL_PRIMES))]
-    return exact_right_null_vectors(sp, count, _echelon(_by_rows(sp), p))
+    a = _by_rows(sp)
+    return exact_right_null_vectors(a, count, _echelon(a, p))
 
 
 class TestSparseCols:
@@ -215,7 +216,7 @@ class TestModular:
             p = SMALL_PRIMES[trial % len(SMALL_PRIMES)]
             sp = SparseCols.from_dense(m)
             assert (_echelon(_by_rows(sp), p).piv.size
-                    == _rank_mod_p_int64(_dense_mod(sp, p, np.int64), p))
+                    == _rank_mod_p_int64(_dense(sp), p))
 
 
 @st.composite
@@ -353,7 +354,7 @@ class TestModularKernels:
         assert ech.free.tolist() == [5, 70, 100]
         # every kernel vector is read off the single prime: nothing combined
         combined = _spy(monkeypatch, "_crt")
-        assert len(exact_right_null_vectors(sp, nc, ech)) == 3
+        assert len(exact_right_null_vectors(_by_rows(sp), nc, ech)) == 3
         assert not combined
 
     def test_rational_kernel_read_off_one_prime(self, rng, monkeypatch):
@@ -370,7 +371,46 @@ class TestModularKernels:
         assert v in ([-x for x in w] + [2], w + [-2])
 
 
+@st.composite
+def _chained_sparse(draw):
+    """Sparse integer matrices with planted singleton chains: runs of new rows
+    r_1..r_k and columns c_1..c_k, r_t nonzero in c_t and c_{t+1}, so that c_1
+    holds one nonzero and peeling it frees c_2, and so on; r_k crosses the
+    columns before the run instead.  Transposed or not, then shuffled."""
+    nr, nc = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    entry, nonzero = st.sampled_from((0, 0, 0, 1, -1, 2, -3)), st.sampled_from((1, -1, 2, -3))
+    m = [draw(st.lists(entry, min_size=nc, max_size=nc)) for _ in range(nr)]
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(1, 5))
+        for row in m:
+            row += [0] * k
+        for t in range(k):
+            row = draw(st.lists(entry, min_size=nc, max_size=nc)) if t == k - 1 else [0] * nc
+            row += [0] * k
+            row[nc + t] = draw(nonzero)
+            if t < k - 1:
+                row[nc + t + 1] = draw(nonzero)
+            m.append(row)
+        nr, nc = nr + k, nc + k
+    if draw(st.booleans()):
+        m, nr, nc = [list(col) for col in zip(*m)], nc, nr
+    rows, cols = draw(st.permutations(range(nr))), draw(st.permutations(range(nc)))
+    return [[m[i][j] for j in cols] for i in rows]
+
+
 class TestPeel:
+    @settings(max_examples=200, deadline=None)
+    @given(_chained_sparse())
+    def test_core_has_no_singleton(self, m):
+        sp = SparseCols.from_dense(m)
+        core, base = _peel(sp)
+        row_counts = [0] * core.nrows
+        for col in core.cols:
+            for i, _ in col:
+                row_counts[i] += 1
+        assert min(row_counts + [len(col) for col in core.cols], default=2) >= 2
+        assert base + rank_bareiss(core) == rank_bareiss(m)
+
     def test_diagonal_fully_peels(self):
         core, base = _peel(SparseCols.from_dense([[3, 0], [0, 2]]))
         assert base == 2 and core.nrows == 0
@@ -538,14 +578,14 @@ class TestExactRankInfo:
         # prime the engine draws first for this shape; its entries exceed
         # every small prime, so the draw does not depend on them
         shape, k = (190, 182), 170
-        p = _engine_primes(shape, 0, 1 << 30)[0]
+        p = _engine_prime(shape, 0, 1 << 30)
         rng2 = np.random.default_rng(7)
         a = rng2.integers(-2, 3, size=(shape[0], k))
         b = rng2.integers(-2, 3, size=(k, shape[1]))
         u = rng2.integers(-2, 3, size=(shape[0], 1))
         w = rng2.integers(-2, 3, size=(1, shape[1]))
         sp = SparseCols.from_dense((a @ b + p * (u @ w)).tolist())
-        assert _engine_primes(shape, 0, sp.max_abs())[0] == p
+        assert _engine_prime(shape, 0, sp.max_abs()) == p
         core = ranks._peel(sp)[0]
         assert (core.nrows, core.ncols) == shape
         assert shape[0] * shape[1] * min(shape) > ranks.BAREISS_OPS_CAP  # not Bareiss
@@ -585,14 +625,14 @@ class TestExactRankInfo:
         k = data.draw(st.integers(1, min(nrows, ncols) - 1), label="k")
         rng2 = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         shape = (nrows, ncols)
-        p = _engine_primes(shape, 0, 1 << 30)[0]
+        p = _engine_prime(shape, 0, 1 << 30)
         a = rng2.integers(-2, 3, size=(nrows, k))
         b = rng2.integers(-2, 3, size=(k, ncols))
         u = rng2.choice([-2, -1, 1, 2], size=(nrows, 1))
         w = rng2.choice([-2, -1, 1, 2], size=(1, ncols))
         u[0, 0] = 2  # some |entry| is near 2p, above every small prime
         sp = SparseCols.from_dense((a @ b + p * (u @ w)).tolist())
-        assert _engine_primes(shape, 0, sp.max_abs())[0] == p
+        assert _engine_prime(shape, 0, sp.max_abs()) == p
         assert _peel(sp)[0].nrows == nrows  # no zero entry, so nothing peels
         original = ranks._echelon
         echelons = []
@@ -606,6 +646,27 @@ class TestExactRankInfo:
         # once no column is left to certify (after a restart at full rank,
         # say) the certificate ends instead of running through the primes
         assert len(echelons) < ranks.CRT_MAX_PRIMES
+
+    def test_core_vanishing_mod_the_prime_is_certified(self, monkeypatch):
+        # m = p u w^T is zero modulo p, the engine's prime for its shape, so
+        # the echelon form there has rank 0; the certificate itself walks on
+        # to a fallback prime of rank 1, and no second engine prime is drawn
+        shape = (38, 6)
+        p = _engine_prime(shape, 0, 1 << 30)
+        rng2 = np.random.default_rng(12)
+        u = rng2.choice([-2, -1, 1, 2], size=(shape[0], 1))
+        w = rng2.choice([-2, -1, 1, 2], size=(1, shape[1]))
+        u[0, 0] = 2  # some |entry| is near 2p, above every small prime
+        sp = SparseCols.from_dense((p * (u @ w)).tolist())
+        assert _engine_prime(shape, 0, sp.max_abs()) == p
+        monkeypatch.setattr(ranks, "BAREISS_OPS_CAP", 0)
+        monkeypatch.setattr(ranks, "_cholesky_certifies", lambda a: False)
+        echelons = _spy(monkeypatch, "_echelon")
+        info = exact_rank_info(sp)
+        assert info.certified and info.method == "peel+modular+nullcert"
+        assert info.rank == rank_bareiss(sp) == 1
+        assert echelons[0][2].p == p and echelons[0][2].piv.size == 0
+        assert [args[1] for args, _, _ in echelons if args[1] in SMALL_PRIMES] == [p]
 
     def test_dense_cap_respected(self, monkeypatch):
         # over the cap no elimination runs, so no rank is read from one:

@@ -88,7 +88,18 @@ def test_path_dims_match_indpoly():
 
 @pytest.mark.parametrize("m,n", [(1, 5), (2, 7), (3, 4), (5, 9), (8, 6)])
 def test_lollipop_dims_match_hilbert(m, n):
-    assert reductions.lollipop_dims(m, n) == hilbert_series(from_graph(lollipop(m, n))).coeffs
+    # the basis splitting the lollipop rank formula rests on: in degree i, the
+    # monomials of P_n, x_j times those of degree i - 1 for each j < m, and
+    # x_m times those of P_{n-1} (y_2..y_n) of degree i - 1
+    def h(dims, i):
+        return dims[i] if 0 <= i < len(dims) else 0
+
+    dims, short = reductions.path_dims(n), reductions.path_dims(n - 1)
+    want = [h(dims, i) + (m - 1) * h(dims, i - 1) + h(short, i - 1)
+            for i in range(len(dims) + 1)]
+    while not want[-1]:  # at m = 1 the last degree may be empty
+        want.pop()
+    assert tuple(want) == hilbert_series(from_graph(lollipop(m, n))).coeffs
 
 
 def test_out_of_range_degrees_are_zero():
