@@ -134,34 +134,45 @@ def cmd_wlp(args) -> int:
 def cmd_blockcheck(args) -> int:
     import random as _random
 
-    reports = []
     if getattr(args, "gens_file", None):
         algebras = [_algebra_from_args(args)]
     else:
         rng = _random.Random(args.seed)
         # drawn lazily, so each algebra and its caches are freed after its blocks
         algebras = (random_artinian_algebra(rng) for _ in range(args.random))
+    as_json = args.output == "json"
+    # each verdict is formatted as soon as it is computed and its report
+    # dropped; JSON keeps the text of each report until "ok" is known
+    pieces: list[str] = []
+    count = 0
     ok = True
     for idx, algebra in enumerate(algebras):
         for n in args.block_vars:
             tb = tensor_with_squarefree_block(n, algebra)
             for i in range(algebra.socle_degree + 1):
                 rep = verdict_via_theorem(tb, i)
-                reports.append((idx, n, rep))
-                ok = ok and rep.agree
-    if args.output == "json":
-        print(json.dumps({
-            "ok": ok,
-            "reports": [
-                {"algebra": idx, "n": n, **rep.to_json_dict()} for idx, n, rep in reports
-            ],
-        }))
+                if as_json:
+                    entry = {"algebra": idx, "n": n, **rep.to_json_dict()}
+                    agree = entry["agree"]
+                    pieces.append(json.dumps(entry))
+                else:
+                    agree = rep.agree
+                    print(f"algebra {idx} n={n} degree {rep.degree}: "
+                          f"{'agree' if agree else 'DISAGREE'} (direct rank {rep.direct_rank})")
+                ok = ok and agree
+                count += 1
+    if as_json:
+        # the bytes of json.dumps({"ok": ok, "reports": [...]}), written piecewise
+        out = sys.stdout
+        out.write(f'{{"ok": {json.dumps(ok)}, "reports": [')
+        for k, piece in enumerate(pieces):
+            if k:
+                out.write(", ")
+            out.write(piece)
+        out.write("]}\n")
     else:
-        for idx, n, rep in reports:
-            print(f"algebra {idx} n={n} degree {rep.degree}: "
-                  f"{'agree' if rep.agree else 'DISAGREE'} (direct rank {rep.direct_rank})")
         print(f"blockcheck: {'all agree' if ok else 'DISAGREEMENT'} "
-              f"({len(reports)} degree verdicts)")
+              f"({count} degree verdicts)")
     return 0 if ok else 1
 
 
@@ -233,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--gens-file", metavar="FILE")
     group.add_argument("--random", type=_int_at_least(0), default=5, metavar="COUNT",
                        help="number of random inner algebras")
-    p_blk.add_argument("--block-vars", type=int, nargs="+", default=[1, 2, 3],
+    p_blk.add_argument("--block-vars", type=_int_at_least(1), nargs="+", default=[1, 2, 3],
                        metavar="N", help="sizes of the quadratic block")
     p_blk.set_defaults(func=cmd_blockcheck)
 

@@ -852,7 +852,14 @@ def _digest(sp: SparseCols) -> bytes:
     # about 3.5 MB of resident memory that no other run needs
     import hashlib
 
-    return hashlib.sha256(repr((sp.nrows, sp.ncols, sp.cols)).encode()).digest()
+    # flat lists of ints, not one (row, value) tuple repr per nonzero, hashed
+    # one at a time so only one is held; the column lengths split the
+    # entries back into columns
+    cols = sp.cols
+    h = hashlib.sha256(repr((sp.nrows, sp.ncols, [len(col) for col in cols])).encode())
+    h.update(repr([i for col in cols for i, _ in col]).encode())
+    h.update(repr([v for col in cols for _, v in col]).encode())
+    return h.digest()
 
 
 def exact_rank(matrix) -> int:

@@ -1,11 +1,13 @@
+import hashlib
 import json
 import multiprocessing.pool
 import os
 import re
+import weakref
 
 import pytest
 
-from wlpgraph import ranks
+from wlpgraph import cli, ranks
 from wlpgraph.cli import main
 from wlpgraph.verify import check_path_modes
 
@@ -149,6 +151,43 @@ class TestBlockcheck:
         code, out = run_cli(capsys, ["blockcheck", "--random", "0"])
         assert code == 0 and "(0 degree verdicts)" in out
 
+    def test_bad_block_vars_rejected_before_any_rank(self, capsys):
+        # refused by the parser: no n = 1 line is printed before the error
+        code = main(["blockcheck", "--random", "1", "--block-vars", "1", "0"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "--block-vars: must be at least 1, got 0" in captured.err
+
+    def test_text_frozen(self, capsys):
+        # sha256 of the text printed for 30 random algebras at seed 2; printing
+        # each line as it is computed must not change a byte
+        code, out = run_cli(capsys, ["--seed", "2", "blockcheck", "--random", "30",
+                                     "--block-vars", "1", "2", "3"])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "bb89da4d71e083b52fd0648715a575f8fe47c5b4df2fded5f8c3649bd107b621"
+        )
+
+    @pytest.mark.parametrize("output", ["text", "json"])
+    def test_reports_dropped_as_formatted(self, capsys, monkeypatch, output):
+        # when a verdict is computed, at most the previous report is alive:
+        # each one is formatted and released, not held until the end
+        real = cli.verdict_via_theorem
+        refs = []
+        alive = []
+
+        def spy(tb, i):
+            alive.append(sum(ref() is not None for ref in refs))
+            rep = real(tb, i)
+            refs.append(weakref.ref(rep))
+            return rep
+
+        monkeypatch.setattr(cli, "verdict_via_theorem", spy)
+        code, _ = run_cli(capsys, ["--output", output, "--seed", "2", "blockcheck",
+                                   "--random", "5"])
+        assert code == 0
+        assert len(alive) > 10 and max(alive) <= 1
+
 
 class TestErrors:
     def test_missing_source(self, capsys):
@@ -211,6 +250,14 @@ class TestUncertified:
         assert re.match(r"error: ell\^2 rank of P_10 at degree 1 not certified: "
                         r"elimination of \d+x\d+ exceeds the budget of 100 .* at degree 1$",
                         captured.err)
+
+    def test_blockcheck_json_writes_nothing(self, capsys, starved_engine):
+        # the JSON is written only once every verdict is in: no partial document
+        code = main(["--output", "json", "--seed", "7", "blockcheck", "--random", "30"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert re.match(r"error: rank \d+ at degree \d+ not certified", captured.err)
 
     def test_wlp_exits_2(self, capsys, starved_engine, monkeypatch, tmp_path):
         # C_12 has no structured reduction: its ranks come from the engine;

@@ -906,6 +906,24 @@ class TestRecording:
         assert "4 engine calls recorded, 3 distinct matrices, 4 cross-checked" in detail
         assert ranks.distinct_recorded_matrices(registry) is None
 
+    def test_distinct_matrices_keyed_by_shape_and_columns(self):
+        # the same entry list split into other columns, or under another
+        # shape, is another matrix; equal matrices, big entries too, count once
+        def mat(nrows, cols):
+            return SparseCols(nrows, len(cols), [list(col) for col in cols])
+
+        base = [[(0, 1), (1, 3)], [(2, 2)]]
+        registry = []
+        with recording(registry):
+            for m in (mat(3, base), mat(3, base),
+                      mat(3, [[(0, 1)], [(1, 3), (2, 2)]]),
+                      mat(4, base),
+                      mat(3, [[(0, 2**70), (1, 3)], [(2, 2)]]),
+                      mat(3, [[(0, 2**70), (1, 3)], [(2, 2)]])):
+                exact_rank_info(m)
+            assert len(registry) == 6
+            assert ranks.distinct_recorded_matrices(registry) == 4
+
     def test_registry_restored(self):
         assert ranks._registry is None
         with recording([]):
