@@ -141,26 +141,43 @@ def cmd_blockcheck(args) -> int:
         # drawn lazily, so each algebra and its caches are freed after its blocks
         algebras = (random_artinian_algebra(rng) for _ in range(args.random))
     as_json = args.output == "json"
-    # each verdict is formatted as soon as it is computed and its report
-    # dropped; JSON keeps the text of each report until "ok" is known
-    pieces: list[str] = []
-    count = 0
-    ok = True
-    for idx, algebra in enumerate(algebras):
+
+    def fresh_verdicts(algebra, kept):
+        # each verdict is formatted as soon as it is computed and its report
+        # dropped: only (n, degree, agree, direct rank, JSON text) is kept
         for n in args.block_vars:
             tb = tensor_with_squarefree_block(n, algebra)
             for i in range(algebra.socle_degree + 1):
                 rep = verdict_via_theorem(tb, i)
                 if as_json:
-                    entry = {"algebra": idx, "n": n, **rep.to_json_dict()}
-                    agree = entry["agree"]
-                    pieces.append(json.dumps(entry))
+                    entry = rep.to_json_dict()
+                    kept.append((n, rep.degree, entry["agree"], rep.direct_rank,
+                                 json.dumps(entry)))
                 else:
-                    agree = rep.agree
-                    print(f"algebra {idx} n={n} degree {rep.degree}: "
-                          f"{'agree' if agree else 'DISAGREE'} (direct rank {rep.direct_rank})")
-                ok = ok and agree
-                count += 1
+                    kept.append((n, rep.degree, rep.agree, rep.direct_rank, None))
+                yield kept[-1]
+
+    # the minimal generators, in canonical order, determine the algebra: one
+    # drawn again is checked once and its verdicts repeated under its own index
+    checked: dict[tuple, list[tuple]] = {}
+    # JSON keeps the text of each report until "ok" is known
+    pieces: list[str] = []
+    count = 0
+    ok = True
+    for idx, algebra in enumerate(algebras):
+        key = (algebra.num_vars, algebra.generators)
+        verdicts = checked.get(key)
+        if verdicts is None:
+            verdicts = fresh_verdicts(algebra, checked.setdefault(key, []))
+        for n, degree, agree, direct_rank, json_text in verdicts:
+            if as_json:
+                # the text of json.dumps({"algebra": idx, "n": n, **report})
+                pieces.append(f'{{"algebra": {idx}, "n": {n}, {json_text[1:]}')
+            else:
+                print(f"algebra {idx} n={n} degree {degree}: "
+                      f"{'agree' if agree else 'DISAGREE'} (direct rank {direct_rank})")
+            ok = ok and agree
+            count += 1
     if as_json:
         # the bytes of json.dumps({"ok": ok, "reports": [...]}), written piecewise
         out = sys.stdout
@@ -258,6 +275,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify-paper", help="run the full verification suite")
     p_ver.set_defaults(func=cmd_verify_paper)
 
+    # --output and --seed may also follow the subcommand; there they are set
+    # only when given, so the value after the subcommand wins and the
+    # top-level default is never overwritten
+    for p_any in sub.choices.values():
+        p_any.add_argument("--output", choices=("text", "json"), default=argparse.SUPPRESS)
+    for p_seeded in (p_blk, p_ver):
+        p_seeded.add_argument("--seed", type=int, default=argparse.SUPPRESS,
+                              help="seed for randomized suites")
     return parser
 
 

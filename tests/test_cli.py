@@ -2,14 +2,16 @@ import hashlib
 import json
 import multiprocessing.pool
 import os
+import random
 import re
 import weakref
 
 import pytest
 
 from wlpgraph import cli, ranks
+from wlpgraph.algebra import from_generators
 from wlpgraph.cli import main
-from wlpgraph.verify import check_path_modes
+from wlpgraph.verify import DEFAULT_SEED, check_path_modes, random_artinian_algebra
 
 
 def run_cli(capsys, argv):
@@ -187,6 +189,76 @@ class TestBlockcheck:
                                    "--random", "5"])
         assert code == 0
         assert len(alive) > 10 and max(alive) <= 1
+
+    def test_each_distinct_algebra_realised_once(self, capsys, monkeypatch):
+        # 30 draws at seed 2 hold 21 distinct generator sets: a repeat reuses
+        # the verdicts already computed and realises no tensor product
+        rng = random.Random(2)
+        distinct = {(a.num_vars, a.generators)
+                    for a in (random_artinian_algebra(rng) for _ in range(30))}
+        assert len(distinct) == 21
+        real = cli.tensor_with_squarefree_block
+        calls = []
+
+        def spy(n, algebra):
+            calls.append(n)
+            return real(n, algebra)
+
+        monkeypatch.setattr(cli, "tensor_with_squarefree_block", spy)
+        code, _ = run_cli(capsys, ["--seed", "2", "blockcheck", "--random", "30"])
+        assert code == 0
+        assert len(calls) == 21 * 3
+
+    @pytest.mark.parametrize("output", ["text", "json"])
+    def test_equal_algebras_share_verdicts(self, capsys, monkeypatch, output):
+        # two separately built algebras with equal minimal generators: the
+        # second index gets the first one's lines, and each degree is checked once
+        draws = iter([from_generators(2, [(2, 0), (0, 3)]),
+                      from_generators(2, [(0, 3), (2, 1), (2, 0)])])
+        monkeypatch.setattr(cli, "random_artinian_algebra", lambda rng: next(draws))
+        real = cli.verdict_via_theorem
+        degrees = []
+
+        def spy(tb, i):
+            degrees.append(i)
+            return real(tb, i)
+
+        monkeypatch.setattr(cli, "verdict_via_theorem", spy)
+        code, out = run_cli(capsys, ["--output", output, "blockcheck", "--random", "2",
+                                     "--block-vars", "1", "2"])
+        assert code == 0
+        # socle degree 3: degrees 0..3 once for each block size
+        assert degrees == [0, 1, 2, 3] * 2
+        if output == "json":
+            reports = json.loads(out)["reports"]
+            by_index = [[{k: v for k, v in r.items() if k != "algebra"}
+                         for r in reports if r["algebra"] == idx] for idx in (0, 1)]
+        else:
+            lines = out.splitlines()[:-1]
+            by_index = [[line.split(" ", 2)[2] for line in lines
+                         if line.startswith(f"algebra {idx} ")] for idx in (0, 1)]
+        assert len(by_index[0]) == 8 and by_index[0] == by_index[1]
+
+    @pytest.mark.parametrize("output", ["text", "json"])
+    def test_seed_and_output_after_subcommand(self, capsys, output):
+        before = run_cli(capsys, ["--output", output, "--seed", "7", "blockcheck",
+                                  "--random", "3"])
+        after = run_cli(capsys, ["blockcheck", "--random", "3", "--seed", "7",
+                                 "--output", output])
+        assert after == before and before[0] == 0
+        # the seed took effect: the default seed draws other algebras
+        assert run_cli(capsys, ["--output", output, "blockcheck", "--random", "3"]) != before
+
+
+@pytest.mark.parametrize("argv, seed", [
+    (["verify-paper", "--seed", "9"], 9),
+    (["--seed", "9", "verify-paper"], 9),
+    (["--seed", "3", "verify-paper", "--seed", "9"], 9),
+    (["verify-paper"], DEFAULT_SEED),
+])
+def test_verify_paper_seed_parsed_either_side(argv, seed):
+    args = cli.build_parser().parse_args(argv)
+    assert args.seed == seed and args.output == "text"
 
 
 class TestErrors:
