@@ -18,7 +18,7 @@ from .graphs import complete, lollipop, path, read_edge_list
 from .indpoly import independence_polynomial, mode_analysis
 from .lefschetz import classify_lollipop, wlp_report
 from .ranks import UncertifiedRankError
-from .tensor import tensor_with_squarefree_block, verdict_via_theorem
+from .tensor import checked_verdicts
 from .verify import DEFAULT_SEED, random_artinian_algebra
 
 
@@ -141,43 +141,21 @@ def cmd_blockcheck(args) -> int:
         # drawn lazily, so each algebra and its caches are freed after its blocks
         algebras = (random_artinian_algebra(rng) for _ in range(args.random))
     as_json = args.output == "json"
-
-    def fresh_verdicts(algebra, kept):
-        # each verdict is formatted as soon as it is computed and its report
-        # dropped: only (n, degree, agree, direct rank, JSON text) is kept
-        for n in args.block_vars:
-            tb = tensor_with_squarefree_block(n, algebra)
-            for i in range(algebra.socle_degree + 1):
-                rep = verdict_via_theorem(tb, i)
-                if as_json:
-                    entry = rep.to_json_dict()
-                    kept.append((n, rep.degree, entry["agree"], rep.direct_rank,
-                                 json.dumps(entry)))
-                else:
-                    kept.append((n, rep.degree, rep.agree, rep.direct_rank, None))
-                yield kept[-1]
-
-    # the minimal generators, in canonical order, determine the algebra: one
-    # drawn again is checked once and its verdicts repeated under its own index
-    checked: dict[tuple, list[tuple]] = {}
+    keep = (lambda rep: json.dumps(rep.to_json_dict())) if as_json else None
     # JSON keeps the text of each report until "ok" is known
     pieces: list[str] = []
     count = 0
     ok = True
-    for idx, algebra in enumerate(algebras):
-        key = (algebra.num_vars, algebra.generators)
-        verdicts = checked.get(key)
-        if verdicts is None:
-            verdicts = fresh_verdicts(algebra, checked.setdefault(key, []))
-        for n, degree, agree, direct_rank, json_text in verdicts:
-            if as_json:
-                # the text of json.dumps({"algebra": idx, "n": n, **report})
-                pieces.append(f'{{"algebra": {idx}, "n": {n}, {json_text[1:]}')
-            else:
-                print(f"algebra {idx} n={n} degree {degree}: "
-                      f"{'agree' if agree else 'DISAGREE'} (direct rank {direct_rank})")
-            ok = ok and agree
-            count += 1
+    for idx, n, degree, agree, direct_rank, json_text in checked_verdicts(
+            algebras, args.block_vars, keep):
+        if as_json:
+            # the text of json.dumps({"algebra": idx, "n": n, **report})
+            pieces.append(f'{{"algebra": {idx}, "n": {n}, {json_text[1:]}')
+        else:
+            print(f"algebra {idx} n={n} degree {degree}: "
+                  f"{'agree' if agree else 'DISAGREE'} (direct rank {direct_rank})")
+        ok = ok and agree
+        count += 1
     if as_json:
         # the bytes of json.dumps({"ok": ok, "reports": [...]}), written piecewise
         out = sys.stdout
@@ -296,6 +274,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError, UncertifiedRankError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print(f"error: input too large for the recursion limit of {sys.getrecursionlimit()}",
+              file=sys.stderr)
         return 2
 
 

@@ -65,12 +65,12 @@ products.  Residues are kept centred, |x| <= h = p//2 + 2 < 2^19 + 2
 K h^2 + p < 2^53, that is for K <= 2^14 = ``_EXACT_TERMS``; longer products
 are split into pieces of that many terms, with a reduction between them.
 The memory budget counts the elements an elimination holds: X, at most n^2/4
-for n columns, and ``_BLOCK * n`` of the row block; one over
-``DENSE_ELEMS_CAP`` raises :class:`UncertifiedRankError` instead.  The
-separate :func:`rank_modular` route, an independent cross-check of the
-Bareiss route, row-reduces one dense int64 image modulo random primes above
-2^30, drawn once per seed, and stops at the first prime that reaches full
-rank.
+for n columns, and ``_BLOCK * n`` of the row block, not the certificate's
+arrays or the algebra; one over ``DENSE_ELEMS_CAP`` raises
+:class:`UncertifiedRankError` instead.  The separate :func:`rank_modular`
+route, an independent cross-check of the Bareiss route, row-reduces one
+dense int64 image modulo random primes above 2^30, drawn once per seed, and
+stops at the first prime that reaches full rank.
 """
 
 from __future__ import annotations
@@ -101,7 +101,7 @@ _TINY = 2.0 ** -400
 # Route-selection and memory caps (correctness never depends on them: the
 # first picks which exact route runs, the second which matrices are refused).
 BAREISS_OPS_CAP = 1_000_000  # rows*cols*min budget for Bareiss (so min dim <= 100)
-DENSE_ELEMS_CAP = 70_000_000  # budget of the elements an elimination holds (~560 MB in float64)
+DENSE_ELEMS_CAP = 70_000_000  # one elimination only: X + a row block (~560 MB as float64)
 CRT_MAX_PRIMES = 805  # fallback primes of the null-vector certificate (~2^16000)
 
 CROSSCHECK_CAP = 110       # registry mode: run Bareiss + >2^30 modular up to this min-dim
@@ -182,16 +182,6 @@ class SparseCols:
                     acc[i] = acc.get(i, 0) + va * vb
             cols.append(sorted((i, v) for i, v in acc.items() if v))
         return SparseCols(self.nrows, other.ncols, cols)
-
-    def matvec(self, vec) -> list[int]:
-        """Exact integer product self @ vec (vec indexed by columns)."""
-        out = [0] * self.nrows
-        for j, col in enumerate(self.cols):
-            x = vec[j]
-            if x:
-                for i, v in col:
-                    out[i] += v * x
-        return out
 
     def to_json_dict(self, rank: int | None = None) -> dict:
         triples = [[i, j, v] for j, col in enumerate(self.cols) for i, v in col]

@@ -210,6 +210,36 @@ def verdict_via_theorem(tb: TensorAlgebra, i: int) -> BlockMatrixReport:
     return BlockMatrixReport(i, predicted, direct, rank)
 
 
+def algebra_key(a: MonomialAlgebra) -> tuple:
+    """The minimal generators, in canonical order, determine the algebra."""
+    return a.num_vars, a.generators
+
+
+def checked_verdicts(algebras, block_vars, keep=None):
+    """Check the theorem on each algebra A and block size n, degree by degree.
+
+    Yields ``(index, n, degree, agree, direct_rank, keep(report))`` (None
+    without ``keep``) as each verdict is computed, and drops the report.  The
+    rows of an algebra whose :func:`algebra_key` came earlier are computed
+    once and yielded again under the repeat's own index.
+    """
+    checked: dict[tuple, list[tuple]] = {}
+    for idx, algebra in enumerate(algebras):
+        key = algebra_key(algebra)
+        rows = checked.get(key)
+        if rows is not None:
+            for row in rows:
+                yield (idx, *row)
+            continue
+        rows = checked[key] = []
+        for n in block_vars:
+            tb = tensor_with_squarefree_block(n, algebra)
+            for i in range(algebra.socle_degree + 1):
+                rep = verdict_via_theorem(tb, i)
+                rows.append((n, i, rep.agree, rep.direct_rank, keep(rep) if keep else None))
+                yield (idx, *rows[-1])
+
+
 def _tensor_product(a1: MonomialAlgebra, a2: MonomialAlgebra) -> MonomialAlgebra:
     from .algebra import from_generators
 

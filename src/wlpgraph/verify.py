@@ -14,8 +14,8 @@ from .algebra import LinearForm, from_generators, from_graph, hilbert_series, mu
 from .graphs import custom, lollipop, path
 from .indpoly import independence_polynomial, mode_analysis, mode_of_path
 from .lefschetz import classify_lollipop, failure_localization, wlp_report
-from .tensor import (block_matrix, map_flags, tensor_failure_witness, tensor_with_squarefree_block,
-                     verdict_via_theorem)
+from .tensor import (algebra_key, block_matrix, checked_verdicts, map_flags, tensor_failure_witness,
+                     tensor_with_squarefree_block)
 
 DEFAULT_SEED = 20250810
 
@@ -165,23 +165,18 @@ def random_artinian_algebra(rng: random.Random, max_vars: int = 4, max_exp: int 
 
 @_timed
 def check_theorem_equivalence(seed: int = DEFAULT_SEED, count: int = 50) -> CheckResult:
-    """Predicted vs direct block-matrix verdicts on random algebras."""
+    """Predicted vs direct block-matrix verdicts on random algebras; a repeated
+    draw is checked once, and its verdicts are counted again."""
     rng = random.Random(seed)
-    disagreements = []
-    checked = 0
-    for trial in range(count):
-        algebra = random_artinian_algebra(rng)
-        for n in (1, 2, 3):
-            tb = tensor_with_squarefree_block(n, algebra)
-            for i in range(algebra.socle_degree + 1):
-                rep = verdict_via_theorem(tb, i)
-                checked += 1
-                if not rep.agree:
-                    disagreements.append((trial, n, i))
+    draws = [random_artinian_algebra(rng) for _ in range(count)]
+    rows = list(checked_verdicts(draws, (1, 2, 3)))
+    disagreements = [(trial, n, i) for trial, n, i, agree, _, _ in rows if not agree]
+    distinct = len({algebra_key(a) for a in draws})
     return CheckResult(
         "tensor-verdict-equivalence",
         not disagreements,
-        f"{checked} degree verdicts agree across {count} random algebras x n=1..3"
+        f"{len(rows)} degree verdicts agree across {count} random algebras "
+        f"({distinct} distinct) x n=1..3"
         if not disagreements else f"disagreements: {disagreements[:5]}",
     )
 

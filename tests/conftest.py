@@ -30,6 +30,15 @@ def rank_by_fractions(rows) -> int:
     return r
 
 
+def exact_product(sp, vec) -> list[int]:
+    """sp @ vec over the integers, for a SparseCols sp and a list vec."""
+    out = [0] * sp.nrows
+    for col, x in zip(sp.cols, vec, strict=True):
+        for i, v in col:
+            out[i] += v * x
+    return out
+
+
 def independent_set_counts_brute(g) -> tuple[int, ...]:
     """Count independent sets by checking every subset against the edge list."""
     edges = [tuple(sorted(e)) for e in g.edges]

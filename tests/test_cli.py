@@ -8,7 +8,7 @@ import weakref
 
 import pytest
 
-from wlpgraph import cli, ranks
+from wlpgraph import cli, ranks, tensor
 from wlpgraph.algebra import from_generators
 from wlpgraph.cli import main
 from wlpgraph.verify import DEFAULT_SEED, check_path_modes, random_artinian_algebra
@@ -174,7 +174,7 @@ class TestBlockcheck:
     def test_reports_dropped_as_formatted(self, capsys, monkeypatch, output):
         # when a verdict is computed, at most the previous report is alive:
         # each one is formatted and released, not held until the end
-        real = cli.verdict_via_theorem
+        real = tensor.verdict_via_theorem
         refs = []
         alive = []
 
@@ -184,7 +184,7 @@ class TestBlockcheck:
             refs.append(weakref.ref(rep))
             return rep
 
-        monkeypatch.setattr(cli, "verdict_via_theorem", spy)
+        monkeypatch.setattr(tensor, "verdict_via_theorem", spy)
         code, _ = run_cli(capsys, ["--output", output, "--seed", "2", "blockcheck",
                                    "--random", "5"])
         assert code == 0
@@ -197,14 +197,14 @@ class TestBlockcheck:
         distinct = {(a.num_vars, a.generators)
                     for a in (random_artinian_algebra(rng) for _ in range(30))}
         assert len(distinct) == 21
-        real = cli.tensor_with_squarefree_block
+        real = tensor.tensor_with_squarefree_block
         calls = []
 
         def spy(n, algebra):
             calls.append(n)
             return real(n, algebra)
 
-        monkeypatch.setattr(cli, "tensor_with_squarefree_block", spy)
+        monkeypatch.setattr(tensor, "tensor_with_squarefree_block", spy)
         code, _ = run_cli(capsys, ["--seed", "2", "blockcheck", "--random", "30"])
         assert code == 0
         assert len(calls) == 21 * 3
@@ -216,14 +216,14 @@ class TestBlockcheck:
         draws = iter([from_generators(2, [(2, 0), (0, 3)]),
                       from_generators(2, [(0, 3), (2, 1), (2, 0)])])
         monkeypatch.setattr(cli, "random_artinian_algebra", lambda rng: next(draws))
-        real = cli.verdict_via_theorem
+        real = tensor.verdict_via_theorem
         degrees = []
 
         def spy(tb, i):
             degrees.append(i)
             return real(tb, i)
 
-        monkeypatch.setattr(cli, "verdict_via_theorem", spy)
+        monkeypatch.setattr(tensor, "verdict_via_theorem", spy)
         code, out = run_cli(capsys, ["--output", output, "blockcheck", "--random", "2",
                                      "--block-vars", "1", "2"])
         assert code == 0
@@ -270,6 +270,15 @@ class TestErrors:
 
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
+
+    def test_recursion_limit_exits_2(self, capsys):
+        # P_1000 is too deep for the deletion recursion of the independence
+        # polynomial: input too large, not a negative outcome
+        assert main(["indpoly", "--path", "1000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "recursion limit" in captured.err
 
 
 class TestJobs:

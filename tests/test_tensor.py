@@ -20,7 +20,7 @@ from wlpgraph import (
     verdict_via_theorem,
 )
 from wlpgraph import algebra as algebra_module
-from wlpgraph import cli, tensor
+from wlpgraph import cli, ranks, tensor, verify
 from wlpgraph.algebra import monomial_divides
 from wlpgraph.ranks import UncertifiedRankError
 from wlpgraph.tensor import map_flags
@@ -249,6 +249,49 @@ class TestVerdicts:
         tb = tensor_with_squarefree_block(1, ky_mod(2))
         d = verdict_via_theorem(tb, 0).to_json_dict()
         assert set(d) == {"degree", "predicted", "direct", "agree"}
+
+
+class TestCheckedVerdicts:
+    """Criterion 06 checks each distinct random algebra once."""
+
+    def test_each_distinct_draw_realised_once(self, monkeypatch):
+        # 50 draws at the default seed hold 28 distinct generator sets; every
+        # draw's verdicts are still counted
+        real = tensor.tensor_with_squarefree_block
+        calls = []
+
+        def spy(n, algebra):
+            calls.append(n)
+            return real(n, algebra)
+
+        monkeypatch.setattr(tensor, "tensor_with_squarefree_block", spy)
+        result = verify.check_theorem_equivalence(verify.DEFAULT_SEED)
+        assert len(calls) == 28 * 3
+        assert result.passed
+        assert result.detail == ("609 degree verdicts agree across 50 random algebras "
+                                 "(28 distinct) x n=1..3")
+
+    def test_same_matrices_recorded_as_per_draw_loop(self):
+        # the rows of a repeat come from the first draw: the audit sees the
+        # same distinct matrices as a loop over all 50 draws, in fewer calls
+        def per_draw_loop():
+            rng = random.Random(verify.DEFAULT_SEED)
+            for _ in range(50):
+                algebra = random_artinian_algebra(rng)
+                for n in (1, 2, 3):
+                    tb = tensor_with_squarefree_block(n, algebra)
+                    for i in range(algebra.socle_degree + 1):
+                        verdict_via_theorem(tb, i)
+
+        counts = []
+        for run in (per_draw_loop, lambda: verify.check_theorem_equivalence(verify.DEFAULT_SEED)):
+            registry = []
+            with ranks.recording(registry):
+                run()
+                counts.append((ranks.distinct_recorded_matrices(registry), len(registry)))
+        (loop_distinct, loop_calls), (swept_distinct, swept_calls) = counts
+        assert loop_distinct == swept_distinct == 365
+        assert swept_calls < loop_calls
 
 
 class TestFailureWitness:
