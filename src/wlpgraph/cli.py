@@ -19,7 +19,7 @@ from .indpoly import independence_polynomial, mode_analysis
 from .lefschetz import classify_lollipop, wlp_report
 from .ranks import UncertifiedRankError
 from .tensor import checked_verdicts
-from .verify import DEFAULT_SEED, random_artinian_algebra
+from .verify import DEFAULT_SEED, random_algebras
 
 
 def _add_graph_args(sub, gens: bool = False):
@@ -81,6 +81,16 @@ def _int_at_least(lo: int):
     return parse
 
 
+class _Distinct(argparse.Action):
+    """Store a list option's values, refusing a value given twice."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        for k, value in enumerate(values):
+            if value in values[:k]:
+                raise argparse.ArgumentError(self, f"value {value} given twice")
+        setattr(namespace, self.dest, values)
+
+
 def cmd_indpoly(args) -> int:
     g = _graph_from_args(args)
     poly = independence_polynomial(g)
@@ -137,9 +147,7 @@ def cmd_blockcheck(args) -> int:
     if getattr(args, "gens_file", None):
         algebras = [_algebra_from_args(args)]
     else:
-        rng = _random.Random(args.seed)
-        # drawn lazily, so each algebra and its caches are freed after its blocks
-        algebras = (random_artinian_algebra(rng) for _ in range(args.random))
+        algebras = random_algebras(_random.Random(args.seed), args.random)
     as_json = args.output == "json"
     keep = (lambda rep: json.dumps(rep.to_json_dict())) if as_json else None
     # JSON keeps the text of each report until "ok" is known
@@ -240,7 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--random", type=_int_at_least(0), default=5, metavar="COUNT",
                        help="number of random inner algebras")
     p_blk.add_argument("--block-vars", type=_int_at_least(1), nargs="+", default=[1, 2, 3],
-                       metavar="N", help="sizes of the quadratic block")
+                       action=_Distinct, metavar="N",
+                       help="distinct sizes of the quadratic block")
     p_blk.set_defaults(func=cmd_blockcheck)
 
     p_cls = sub.add_parser("classify", help="lollipop classification sweep")

@@ -19,6 +19,7 @@ computed independently here; tests assert they agree.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 
 import numpy as np
 
@@ -32,6 +33,9 @@ from .algebra import (
 
 # elements of one boolean (monomial, generator, variable) comparison block
 _CHECK_ELEMS = 1 << 20
+
+# algebra_key tries every permutation of at most this many variables (5040)
+_KEY_MAX_VARS = 7
 
 
 class TensorAlgebra:
@@ -211,8 +215,19 @@ def verdict_via_theorem(tb: TensorAlgebra, i: int) -> BlockMatrixReport:
 
 
 def algebra_key(a: MonomialAlgebra) -> tuple:
-    """The minimal generators, in canonical order, determine the algebra."""
-    return a.num_vars, a.generators
+    """The minimal generators up to a permutation of the variables.
+
+    Permuting the variables of A fixes the all-ones form and the quadratic
+    block, so every verdict and direct rank of the sweep is constant on a
+    permutation orbit.  The key is the least sorted generator tuple over all
+    permutations; above ``_KEY_MAX_VARS`` variables it is the generator set
+    itself, which never merges two algebras but may miss a permuted repeat.
+    """
+    k = a.num_vars
+    if k > _KEY_MAX_VARS:
+        return k, a.generators
+    return k, min(tuple(sorted(tuple(g[v] for v in perm) for g in a.generators))
+                  for perm in permutations(range(k)))
 
 
 def checked_verdicts(algebras, block_vars, keep=None):
@@ -221,11 +236,16 @@ def checked_verdicts(algebras, block_vars, keep=None):
     Yields ``(index, n, degree, agree, direct_rank, keep(report))`` (None
     without ``keep``) as each verdict is computed, and drops the report.  The
     rows of an algebra whose :func:`algebra_key` came earlier are computed
-    once and yielded again under the repeat's own index.
+    once and yielded again under the repeat's own index; the key is computed
+    once per distinct generator set.
     """
+    keys: dict[tuple, tuple] = {}
     checked: dict[tuple, list[tuple]] = {}
     for idx, algebra in enumerate(algebras):
-        key = algebra_key(algebra)
+        raw = algebra.num_vars, algebra.generators
+        key = keys.get(raw)
+        if key is None:
+            key = keys[raw] = algebra_key(algebra)
         rows = checked.get(key)
         if rows is not None:
             for row in rows:

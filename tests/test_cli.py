@@ -8,7 +8,7 @@ import weakref
 
 import pytest
 
-from wlpgraph import cli, ranks, tensor
+from wlpgraph import cli, ranks, tensor, verify
 from wlpgraph.algebra import from_generators
 from wlpgraph.cli import main
 from wlpgraph.verify import DEFAULT_SEED, check_path_modes, random_artinian_algebra
@@ -160,6 +160,14 @@ class TestBlockcheck:
         assert code == 2 and captured.out == ""
         assert "--block-vars: must be at least 1, got 0" in captured.err
 
+    def test_repeated_block_vars_rejected(self, capsys):
+        # a size given twice would check every (algebra, n, degree) twice
+        code = main(["blockcheck", "--random", "1", "--block-vars", "1", "2", "1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert errors == ["wlpgraph blockcheck: error: argument --block-vars: value 1 given twice"]
+
     def test_text_frozen(self, capsys):
         # sha256 of the text printed for 30 random algebras at seed 2; printing
         # each line as it is computed must not change a byte
@@ -191,12 +199,13 @@ class TestBlockcheck:
         assert len(alive) > 10 and max(alive) <= 1
 
     def test_each_distinct_algebra_realised_once(self, capsys, monkeypatch):
-        # 30 draws at seed 2 hold 21 distinct generator sets: a repeat reuses
-        # the verdicts already computed and realises no tensor product
+        # 30 draws at seed 2 hold 21 distinct generator sets, 19 up to variable
+        # order: a repeat reuses the verdicts already computed and realises no
+        # tensor product
         rng = random.Random(2)
-        distinct = {(a.num_vars, a.generators)
-                    for a in (random_artinian_algebra(rng) for _ in range(30))}
-        assert len(distinct) == 21
+        draws = [random_artinian_algebra(rng) for _ in range(30)]
+        assert len({(a.num_vars, a.generators) for a in draws}) == 21
+        assert len({tensor.algebra_key(a) for a in draws}) == 19
         real = tensor.tensor_with_squarefree_block
         calls = []
 
@@ -207,7 +216,17 @@ class TestBlockcheck:
         monkeypatch.setattr(tensor, "tensor_with_squarefree_block", spy)
         code, _ = run_cli(capsys, ["--seed", "2", "blockcheck", "--random", "30"])
         assert code == 0
-        assert len(calls) == 21 * 3
+        assert len(calls) == 19 * 3
+
+    def test_benchmark_json_frozen(self, capsys):
+        # sha256 of the JSON of the tensor-blockcheck benchmark workload at
+        # seed 1 (2 000 draws), captured before orbit keys and the build memo
+        code, out = run_cli(capsys, ["--output", "json", "--seed", "1", "blockcheck",
+                                     "--random", "2000", "--block-vars", "1", "2", "3"])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "6ae75cdae2a1d09b98ac2069bf20bcf56657114a97afdbeab4b786f7df46aa0c"
+        )
 
     @pytest.mark.parametrize("output", ["text", "json"])
     def test_equal_algebras_share_verdicts(self, capsys, monkeypatch, output):
@@ -215,7 +234,7 @@ class TestBlockcheck:
         # second index gets the first one's lines, and each degree is checked once
         draws = iter([from_generators(2, [(2, 0), (0, 3)]),
                       from_generators(2, [(0, 3), (2, 1), (2, 0)])])
-        monkeypatch.setattr(cli, "random_artinian_algebra", lambda rng: next(draws))
+        monkeypatch.setattr(verify, "random_artinian_algebra", lambda rng, build: next(draws))
         real = tensor.verdict_via_theorem
         degrees = []
 

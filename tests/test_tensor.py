@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import os
 import random
 import subprocess
@@ -252,11 +253,11 @@ class TestVerdicts:
 
 
 class TestCheckedVerdicts:
-    """Criterion 06 checks each distinct random algebra once."""
+    """Criterion 06 checks each random algebra once up to variable order."""
 
     def test_each_distinct_draw_realised_once(self, monkeypatch):
-        # 50 draws at the default seed hold 28 distinct generator sets; every
-        # draw's verdicts are still counted
+        # 50 draws at the default seed hold 28 distinct generator sets, 27 up
+        # to variable order; every draw's verdicts are still counted
         real = tensor.tensor_with_squarefree_block
         calls = []
 
@@ -266,32 +267,94 @@ class TestCheckedVerdicts:
 
         monkeypatch.setattr(tensor, "tensor_with_squarefree_block", spy)
         result = verify.check_theorem_equivalence(verify.DEFAULT_SEED)
-        assert len(calls) == 28 * 3
+        assert len(calls) == 27 * 3
         assert result.passed
         assert result.detail == ("609 degree verdicts agree across 50 random algebras "
-                                 "(28 distinct) x n=1..3")
+                                 "(27 distinct up to variable order) x n=1..3")
+
+    @staticmethod
+    def per_draw_loop(draw):
+        # every verdict of the 50 draws at the default seed, no sweep
+        rng = random.Random(verify.DEFAULT_SEED)
+        for _ in range(50):
+            algebra = draw(rng)
+            for n in (1, 2, 3):
+                tb = tensor_with_squarefree_block(n, algebra)
+                for i in range(algebra.socle_degree + 1):
+                    verdict_via_theorem(tb, i)
+
+    @staticmethod
+    def recorded(run):
+        registry = []
+        with ranks.recording(registry):
+            run()
+            return ranks.distinct_recorded_matrices(registry), len(registry)
 
     def test_same_matrices_recorded_as_per_draw_loop(self):
-        # the rows of a repeat come from the first draw: the audit sees the
-        # same distinct matrices as a loop over all 50 draws, in fewer calls
-        def per_draw_loop():
-            rng = random.Random(verify.DEFAULT_SEED)
-            for _ in range(50):
-                algebra = random_artinian_algebra(rng)
-                for n in (1, 2, 3):
-                    tb = tensor_with_squarefree_block(n, algebra)
-                    for i in range(algebra.socle_degree + 1):
-                        verdict_via_theorem(tb, i)
-
-        counts = []
-        for run in (per_draw_loop, lambda: verify.check_theorem_equivalence(verify.DEFAULT_SEED)):
-            registry = []
-            with ranks.recording(registry):
-                run()
-                counts.append((ranks.distinct_recorded_matrices(registry), len(registry)))
-        (loop_distinct, loop_calls), (swept_distinct, swept_calls) = counts
-        assert loop_distinct == swept_distinct == 365
+        # the rows of a repeat come from the first draw of its orbit: the audit
+        # sees the matrices of one member per orbit, in fewer calls than a loop
+        # over all 50 draws (four distinct matrices belong only to permuted
+        # repeats, whose ranks equal those already recorded)
+        loop_distinct, loop_calls = self.recorded(
+            lambda: self.per_draw_loop(random_artinian_algebra))
+        swept_distinct, swept_calls = self.recorded(
+            lambda: verify.check_theorem_equivalence(verify.DEFAULT_SEED))
+        assert (loop_distinct, swept_distinct) == (365, 361)
         assert swept_calls < loop_calls
+
+    def test_build_memo_scoped_to_one_sweep(self, capsys):
+        # after a blockcheck sweep over the same draws, a fresh sweep of draws
+        # builds fresh algebras: no rank cached by the first sweep is reused,
+        # so the audit still records every matrix of a per-draw loop
+        assert cli.main(["--seed", str(verify.DEFAULT_SEED), "blockcheck", "--random", "50"]) == 0
+        capsys.readouterr()
+        draws = verify.random_algebras(random.Random(verify.DEFAULT_SEED), 50)
+        distinct, _ = self.recorded(lambda: self.per_draw_loop(lambda rng: next(draws)))
+        assert distinct == 365
+
+
+def _permuted(a, perm):
+    return from_generators(a.num_vars, [tuple(g[v] for v in perm) for g in a.generators])
+
+
+class TestAlgebraKey:
+    def test_constant_on_permutation_orbits(self):
+        # permuting the variables fixes the key and every row of the sweep:
+        # verdicts, direct ranks and the report JSON, for n = 1..3
+        rng = random.Random(5)
+        keep = lambda rep: rep.to_json_dict()
+        for _ in range(8):
+            a = random_artinian_algebra(rng)
+            rows = [row[1:] for row in tensor.checked_verdicts([a], (1, 2, 3), keep)]
+            for perm in itertools.permutations(range(a.num_vars)):
+                b = _permuted(a, perm)
+                assert tensor.algebra_key(b) == tensor.algebra_key(a)
+                assert [row[1:] for row in tensor.checked_verdicts([b], (1, 2, 3), keep)] == rows
+
+    def test_equal_hilbert_function_not_merged(self):
+        a = from_generators(2, [(2, 0), (0, 3)])
+        b = from_generators(2, [(2, 0), (0, 4), (1, 2)])
+        assert hilbert_series(a).coeffs == hilbert_series(b).coeffs == (1, 2, 2, 1)
+        assert tensor.algebra_key(a) != tensor.algebra_key(b)
+
+    def test_permuted_repeat_checked_once(self, monkeypatch):
+        # a draw equal to an earlier one up to variable order realises nothing
+        a = from_generators(3, [(2, 0, 0), (0, 3, 0), (0, 0, 2), (1, 1, 0)])
+        b = _permuted(a, (2, 0, 1))
+        assert b.generators != a.generators
+        real = tensor.tensor_with_squarefree_block
+        calls = []
+        monkeypatch.setattr(tensor, "tensor_with_squarefree_block",
+                            lambda n, alg: (calls.append(alg), real(n, alg))[1])
+        rows = list(tensor.checked_verdicts([a, b], (1, 2)))
+        assert calls == [a, a]
+        assert [row[1:] for row in rows if row[0] == 0] == [row[1:] for row in rows if row[0] == 1]
+
+    def test_many_variables_keyed_by_generators(self):
+        # past _KEY_MAX_VARS the permutations are not tried
+        k = tensor._KEY_MAX_VARS + 1
+        a = from_generators(k, [tuple(2 if v == j else 0 for v in range(k)) for j in range(k)])
+        assert tensor.algebra_key(a) == (k, a.generators)
 
 
 class TestFailureWitness:
