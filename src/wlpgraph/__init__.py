@@ -7,6 +7,18 @@ the multiplication maps.  Includes the tensor-product block-matrix machinery
 and the full path/lollipop classification.
 """
 
+import os
+import sys
+
+# OpenBLAS reads this when numpy loads it.  Its default (28) lets idle worker
+# threads spin for about 2^28 cycles after each threaded product; the rank
+# engine's products are small with Python work between them, so that spin was
+# most of the process's CPU time.  4 is the smallest value OpenBLAS accepts.
+# A caller's value is kept, and once numpy is loaded setting it would do
+# nothing.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
+
 from .graphs import (
     Graph,
     VertexSet,

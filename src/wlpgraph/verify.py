@@ -43,6 +43,7 @@ class CheckResult:
     passed: bool
     detail: str
     seconds: float = 0.0
+    cpu_seconds: float = 0.0
 
     def line(self) -> str:
         """Deterministic one-line rendering (timings live in the JSON manifest)."""
@@ -51,10 +52,12 @@ class CheckResult:
 
 
 def _timed(fn):
+    # process_time counts every thread of the process, BLAS workers included
     def wrapper(*args, **kwargs) -> CheckResult:
-        t0 = time.perf_counter()
+        t0, c0 = time.perf_counter(), time.process_time()
         result = fn(*args, **kwargs)
         result.seconds = time.perf_counter() - t0
+        result.cpu_seconds = time.process_time() - c0
         return result
     wrapper.__name__ = fn.__name__
     wrapper.__doc__ = fn.__doc__
@@ -420,7 +423,8 @@ class Manifest:
             "ok": self.ok,
             "checks": [
                 {"name": c.name, "passed": c.passed, "detail": c.detail,
-                 "seconds": round(c.seconds, 2)}
+                 "seconds": round(c.seconds, 2),
+                 "cpu_seconds": round(c.cpu_seconds, 2)}
                 for c in self.checks
             ],
         }

@@ -4,7 +4,10 @@ import multiprocessing.pool
 import os
 import random
 import re
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -322,6 +325,22 @@ class TestJobs:
         code, out = runs[0]
         assert code == 0 and json.loads(out)["total"] == 18
 
+    def test_blas_thread_count_changes_no_byte(self, tmp_path):
+        # the engine's float64 products are exact (partial sums below 2^53),
+        # so the number of BLAS threads cannot change a result; both commands
+        # reach the streamed echelon form and the Cholesky stage (wlp exits 1:
+        # C_16 lacks the WLP)
+        cycle = tmp_path / "c16.txt"
+        cycle.write_text("n 16\n" + "".join(f"{i} {(i + 1) % 16}\n" for i in range(16)))
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        for argv in (["classify", "--m", "1..3", "--n", "1..15"], ["wlp", "--graph-file", str(cycle)]):
+            outs = [subprocess.run([sys.executable, "-m", "wlpgraph.cli", "--output", "json", *argv],
+                                   env={**env, "OPENBLAS_NUM_THREADS": threads},
+                                   capture_output=True, check=False).stdout
+                    for threads in ("1", "2")]
+            assert outs[0] == outs[1] and json.loads(outs[0])
+
 
 def test_bad_range_reason_reaches_stderr(capsys):
     code = main(["classify", "--m", "0..3", "--n", "1"])
@@ -376,6 +395,13 @@ class TestUncertified:
                 assert code == 2
                 assert captured.out == ""
                 assert re.match(error, captured.err)
+
+
+def test_verify_paper_manifest_cpu_seconds(capsys):
+    code, out = run_cli(capsys, ["--output", "json", "verify-paper"])
+    checks = json.loads(out)["checks"]
+    assert code == 0 and len(checks) == 11
+    assert all(0 <= c["cpu_seconds"] for c in checks)
 
 
 def test_corrupted_mode_table_fails_check():

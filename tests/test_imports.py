@@ -1,5 +1,6 @@
 """Every module-level import of the library is used in its module, and
-importing the command line does no more work than it did.
+importing the command line does no more work than it did, and importing the
+package sets OpenBLAS's idle-thread default only where that can take effect.
 
 No linter runs on this tree, so a deletion that leaves an import behind is
 caught here instead.  ``__init__.py`` is exempt: its imports are the public
@@ -59,14 +60,34 @@ print(len(found), min(found), len(ranks.SMALL_PRIMES), min(ranks.SMALL_PRIMES))
 """
 
 
+def _child_env(**extra) -> dict:
+    """The environment of a fresh interpreter that imports this checkout,
+    without the thread timeout this process set when it imported wlpgraph."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+    return {**env, "PYTHONPATH": os.pathsep.join(
+        [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]), **extra}
+
+
 def test_cli_import_makes_only_the_engine_primes():
     # every command pays for its import: the 60 engine primes are made then,
     # and the primes of the certificate's CRT fallback, which lie below
     # them, only when a certificate needs one
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])}
+    env = _child_env()
     out = subprocess.run([sys.executable, "-c", _WATCH_PRIMES], env=env,
                          capture_output=True, text=True, check=True).stdout
     found, lowest, engine, engine_lowest = map(int, out.split())
     assert found == engine <= 60
     assert lowest == engine_lowest
+
+
+@pytest.mark.parametrize("imports, extra, expected", [
+    ("wlpgraph", {}, "4"),
+    ("wlpgraph", {"OPENBLAS_THREAD_TIMEOUT": "28"}, "28"),
+    # OpenBLAS read its environment when numpy loaded it: nothing to set
+    ("numpy, wlpgraph", {}, "None"),
+], ids=["clean", "caller-value", "numpy-first"])
+def test_openblas_thread_timeout_default(imports, extra, expected):
+    code = f"import os, {imports}; print(os.environ.get('OPENBLAS_THREAD_TIMEOUT'))"
+    out = subprocess.run([sys.executable, "-c", code], env=_child_env(**extra),
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == expected
