@@ -45,15 +45,8 @@ def monomial_divides(d: Monomial, m: Monomial) -> bool:
     return all(a <= b for a, b in zip(d, m))
 
 
-# the bits of each byte value, lowest first
-_BYTE_BITS = tuple(tuple((x >> k) & 1 for k in range(8)) for x in range(256))
-
-
 def _mask_to_monomial(mask: int, num_vars: int) -> Monomial:
-    out = _BYTE_BITS[mask & 255]
-    for shift in range(8, num_vars, 8):
-        out += _BYTE_BITS[(mask >> shift) & 255]
-    return out[:num_vars]
+    return tuple((mask >> v) & 1 for v in range(num_vars))
 
 
 @dataclass(frozen=True)
@@ -262,17 +255,12 @@ def from_generators(num_vars: int, gens, var_labels=None) -> MonomialAlgebra:
                 cand = m[:j] + (m[j] + 1,) + m[j + 1:]
                 if cand in nxt:
                     continue
-                target = m[j] + 1
-                divisible = False
-                for g in by_var[j]:
-                    if g[j] == target and monomial_divides(g, cand):
-                        divisible = True
-                        break
-                if not divisible:
+                e = m[j] + 1
+                if not any(g[j] == e and monomial_divides(g, cand) for g in by_var[j]):
                     nxt.add(cand)
         if not nxt:
             break
-        bases.append(sorted(nxt, key=lambda mm: [-e for e in mm]))
+        bases.append(sorted(nxt, reverse=True))
     return MonomialAlgebra(num_vars, minimal, bases=bases, var_labels=labels)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 
 from . import verify
@@ -19,7 +20,7 @@ from .indpoly import independence_polynomial, mode_analysis
 from .lefschetz import classify_lollipop, wlp_report
 from .ranks import UncertifiedRankError
 from .tensor import checked_verdicts
-from .verify import DEFAULT_SEED, random_algebras
+from .verify import DEFAULT_SEED
 
 
 def _add_graph_args(sub, gens: bool = False):
@@ -142,12 +143,12 @@ def cmd_wlp(args) -> int:
 
 
 def cmd_blockcheck(args) -> int:
-    import random as _random
-
     if getattr(args, "gens_file", None):
         algebras = [_algebra_from_args(args)]
     else:
-        algebras = random_algebras(_random.Random(args.seed), args.random)
+        rng = random.Random(args.seed)
+        # drawn lazily, so each algebra and its caches are freed after its blocks
+        algebras = (verify.random_artinian_algebra(rng) for _ in range(args.random))
     as_json = args.output == "json"
     keep = (lambda rep: json.dumps(rep.to_json_dict())) if as_json else None
     # JSON keeps the text of each report until "ok" is known

@@ -7,7 +7,7 @@ and safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 VertexSet = frozenset
@@ -20,7 +20,8 @@ class Graph:
 
     vertex_count: int
     adjacency: tuple[frozenset[int], ...]
-    label_map: dict[int, str] | None = None
+    # a dict cannot be hashed; equal graphs still hash equal without it
+    label_map: dict[int, str] | None = field(default=None, hash=False)
 
     def __post_init__(self):
         if self.vertex_count < 0:
@@ -165,16 +166,19 @@ def parse_edge_list(text: str) -> Graph:
         if not line:
             continue
         parts = line.split()
-        if count is None:
-            if len(parts) != 2 or parts[0] != "n":
-                raise ValueError(f"line {lineno}: expected header 'n <vertex_count>'")
-            count = int(parts[1])
-            if count < 0:
-                raise ValueError(f"line {lineno}: vertex count must be non-negative")
-            continue
-        if len(parts) != 2:
-            raise ValueError(f"line {lineno}: expected '<u> <v>'")
-        edges.append((int(parts[0]), int(parts[1])))
+        try:
+            if count is None:
+                if len(parts) != 2 or parts[0] != "n":
+                    raise ValueError("expected header 'n <vertex_count>'")
+                count = int(parts[1])
+                if count < 0:
+                    raise ValueError("vertex count must be non-negative")
+            elif len(parts) != 2:
+                raise ValueError("expected '<u> <v>'")
+            else:
+                edges.append((int(parts[0]), int(parts[1])))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
     if count is None:
         raise ValueError("missing 'n <vertex_count>' header")
     return custom(count, edges)

@@ -28,6 +28,7 @@ from .algebra import (
     LinearForm,
     MonomialAlgebra,
     Monomial,
+    from_generators,
     multiplication_map,
 )
 
@@ -261,8 +262,6 @@ def checked_verdicts(algebras, block_vars, keep=None):
 
 
 def _tensor_product(a1: MonomialAlgebra, a2: MonomialAlgebra) -> MonomialAlgebra:
-    from .algebra import from_generators
-
     n1 = a1.num_vars
     gens = [tuple(g) + (0,) * a2.num_vars for g in a1.generators]
     gens.extend((0,) * n1 + tuple(g) for g in a2.generators)

@@ -8,7 +8,6 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from . import ranks
 from .algebra import LinearForm, from_generators, from_graph, hilbert_series, multiplication_map
@@ -19,9 +18,6 @@ from .tensor import (algebra_key, block_matrix, checked_verdicts, map_flags, ten
                      tensor_with_squarefree_block)
 
 DEFAULT_SEED = 20250810
-
-# algebras kept by the build memo of one sweep of random draws
-_DRAW_MEMO = 256
 
 PATH_MODE_TABLE = (0, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 4, 4, 4, 4, 5, 5, 5, 5, 6)
 
@@ -152,44 +148,27 @@ def check_failure_localization() -> CheckResult:
     )
 
 
-def random_artinian_algebra(rng: random.Random, max_vars: int = 4, max_exp: int = 4,
-                            socle_range=(1, 5), build=None):
+def random_artinian_algebra(rng: random.Random, max_vars: int = 4, socle_range=(1, 5)):
     """A random Artinian monomial algebra within the sampling bounds.
 
-    Each draw, rejected ones included, is made by ``build(k, gens)`` (default
-    :func:`from_generators`) with ``gens`` a frozenset.  The sampler is
-    skewed towards few algebras: at seed 1, 2 000 draws with the default
-    bounds hold 440 distinct generator sets and only 276 distinct up to a
-    permutation of the variables.
+    Every draw, rejected ones included, is built by :func:`from_generators`.
+    The sampler is skewed towards few algebras: at seed 1, 2 000 draws with
+    the default bounds hold 440 distinct generator sets and only 276 distinct
+    up to a permutation of the variables.
     """
     while True:
         k = rng.randint(1, max_vars)
         gens = []
         for j in range(k):
-            e = rng.randint(2, max_exp)
+            e = rng.randint(2, 4)
             gens.append(tuple(e if v == j else 0 for v in range(k)))
         for _ in range(rng.randint(0, 2 * k)):
             mono = tuple(rng.randint(0, 2) for _ in range(k))
-            if 2 <= sum(mono) <= max_exp:
+            if 2 <= sum(mono) <= 4:
                 gens.append(mono)
-        algebra = (build or from_generators)(k, frozenset(gens))
+        algebra = from_generators(k, gens)
         if socle_range[0] <= algebra.socle_degree <= socle_range[1]:
             return algebra
-
-
-def random_algebras(rng: random.Random, count: int):
-    """``count`` draws of :func:`random_artinian_algebra`, made lazily.
-
-    A generator set drawn again while it is among the last ``_DRAW_MEMO``
-    builds is not built again.  That LRU memo lives only as long as this
-    generator, so no algebra, nor any rank cached on it, is handed to a later
-    sweep.
-    """
-    # from_generators is looked up at each miss, so a wrapper put on this
-    # module's global (a tracer, a test spy) still sees every build
-    build = lru_cache(maxsize=_DRAW_MEMO)(lambda k, gens: from_generators(k, gens))
-    for _ in range(count):
-        yield random_artinian_algebra(rng, build=build)
 
 
 @_timed
@@ -197,7 +176,8 @@ def check_theorem_equivalence(seed: int = DEFAULT_SEED, count: int = 50) -> Chec
     """Predicted vs direct block-matrix verdicts on random algebras; a draw
     equal to an earlier one up to variable order is checked once, and its
     verdicts are counted again."""
-    draws = list(random_algebras(random.Random(seed), count))
+    rng = random.Random(seed)
+    draws = [random_artinian_algebra(rng) for _ in range(count)]
     rows = list(checked_verdicts(draws, (1, 2, 3)))
     disagreements = [(trial, n, i) for trial, n, i, agree, _, _ in rows if not agree]
     distinct = len({algebra_key(a) for a in draws})

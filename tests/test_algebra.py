@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -91,15 +93,6 @@ class TestFromGraph:
         assert lollipop_listed()
 
 
-@given(num_vars=st.integers(1, 64), data=st.data())
-@settings(max_examples=200, deadline=None)
-def test_mask_to_monomial_table(num_vars, data):
-    # guard: the byte-table conversion against the bit-by-bit expression
-    mask = data.draw(st.integers(0, (1 << num_vars) - 1))
-    want = tuple((mask >> v) & 1 for v in range(num_vars))
-    assert algebra_module._mask_to_monomial(mask, num_vars) == want
-
-
 class TestFromGenerators:
     def test_two_squares(self):
         a = from_generators(2, [(2, 0), (0, 2)])
@@ -131,6 +124,28 @@ class TestFromGenerators:
         assert a.dims == (1, 2, 1)
         assert a.basis(1) == ((1, 0), (0, 1))
         assert a.basis(2) == ((2, 0),)
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_brute_force(self, data):
+        # every monomial of the box below the pure powers that no generator
+        # divides, by degree, each level in descending tuple order
+        k = data.draw(st.integers(1, 5))
+        caps = data.draw(st.lists(st.integers(2, 5), min_size=k, max_size=k))
+        pure = [tuple(c if v == j else 0 for v in range(k)) for j, c in enumerate(caps)]
+        extra = data.draw(st.lists(st.tuples(*[st.integers(0, 5)] * k).filter(any),
+                                   max_size=2 * k))
+        gens = pure + extra
+        a = from_generators(k, gens)
+        standard = [m for m in product(*(range(c) for c in caps))
+                    if not any(all(d <= e for d, e in zip(g, m)) for g in gens)]
+        top = max(map(sum, standard))
+        want = tuple(tuple(sorted((m for m in standard if sum(m) == d), reverse=True))
+                     for d in range(top + 1))
+        assert a.bases == want
+        minimal = {g for g in gens
+                   if not any(h != g and all(x <= y for x, y in zip(h, g)) for h in gens)}
+        assert set(a.generators) == minimal
 
 
 class TestHilbertSeries:
@@ -199,8 +214,6 @@ class TestMultiplicationMap:
 
 def _direct_power_matrix(a, ell, i, t):
     """Expand ell^t * m monomial by monomial; the oracle for composition."""
-    from itertools import product
-
     src = a.basis(i)
     tgt = {m: r for r, m in enumerate(a.basis(i + t))}
     out = [[0] * len(src) for _ in range(a.dim(i + t))]

@@ -237,7 +237,7 @@ class TestBlockcheck:
         # second index gets the first one's lines, and each degree is checked once
         draws = iter([from_generators(2, [(2, 0), (0, 3)]),
                       from_generators(2, [(0, 3), (2, 1), (2, 0)])])
-        monkeypatch.setattr(verify, "random_artinian_algebra", lambda rng, build: next(draws))
+        monkeypatch.setattr(verify, "random_artinian_algebra", lambda rng: next(draws))
         real = tensor.verdict_via_theorem
         degrees = []
 

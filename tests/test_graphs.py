@@ -1,3 +1,5 @@
+from functools import lru_cache
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -58,6 +60,21 @@ def test_small_lollipops_are_paths(n):
 @pytest.mark.parametrize("m,n", [(3, 1), (4, 5), (6, 2), (8, 20)])
 def test_lollipop_edge_count(m, n):
     assert lollipop(m, n).edge_count == m * (m - 1) // 2 + 1 + (n - 1)
+
+
+def test_labelled_graph_hashable():
+    g, h = lollipop(3, 4), lollipop(3, 4)
+    assert g == h and hash(g) == hash(h)
+    assert {g: "L(3,4)"}[h] == "L(3,4)"
+    seen = []
+
+    @lru_cache(maxsize=None)
+    def vertices(graph):
+        seen.append(graph)
+        return graph.vertex_count
+
+    assert vertices(g) == vertices(h) == 7
+    assert seen == [g]
 
 
 def test_custom():
@@ -122,6 +139,10 @@ def test_parse_edge_list():
         parse_edge_list("0 1\n")
     with pytest.raises(ValueError):
         parse_edge_list("n 2\n0\n")
+    with pytest.raises(ValueError, match=r"^line 1: invalid literal for int\(\) .*'x'$"):
+        parse_edge_list("n x\n")
+    with pytest.raises(ValueError, match=r"^line 3: invalid literal for int\(\) .*'a'$"):
+        parse_edge_list("n 2\n0 1\n0 a\n")
 
 
 def test_read_edge_list(tmp_path):

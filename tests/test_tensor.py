@@ -302,14 +302,13 @@ class TestCheckedVerdicts:
         assert (loop_distinct, swept_distinct) == (365, 361)
         assert swept_calls < loop_calls
 
-    def test_build_memo_scoped_to_one_sweep(self, capsys):
-        # after a blockcheck sweep over the same draws, a fresh sweep of draws
-        # builds fresh algebras: no rank cached by the first sweep is reused,
-        # so the audit still records every matrix of a per-draw loop
+    def test_no_rank_reused_across_sweeps(self, capsys):
+        # after a blockcheck sweep over the same draws, fresh draws build fresh
+        # algebras: no rank cached by the first sweep is reused, so the audit
+        # still records every matrix of a per-draw loop
         assert cli.main(["--seed", str(verify.DEFAULT_SEED), "blockcheck", "--random", "50"]) == 0
         capsys.readouterr()
-        draws = verify.random_algebras(random.Random(verify.DEFAULT_SEED), 50)
-        distinct, _ = self.recorded(lambda: self.per_draw_loop(lambda rng: next(draws)))
+        distinct, _ = self.recorded(lambda: self.per_draw_loop(random_artinian_algebra))
         assert distinct == 365
 
 
