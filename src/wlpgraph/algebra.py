@@ -56,7 +56,9 @@ class LinearForm:
     coefficients: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coefficients", tuple(int(c) for c in self.coefficients))
+        object.__setattr__(self, "coefficients", tuple(
+            c if type(c) is int else ranks.integral(c, f"coefficient {k}")
+            for k, c in enumerate(self.coefficients)))
         if not any(self.coefficients):
             raise ValueError("linear form must be nonzero")
 
@@ -205,7 +207,8 @@ def from_generators(num_vars: int, gens, var_labels=None) -> MonomialAlgebra:
     """
     if num_vars < 1:
         raise ValueError("num_vars must be positive")
-    gens = [tuple(int(e) for e in g) for g in gens]
+    gens = [tuple(e if type(e) is int else ranks.integral(e, f"exponent {v} of generator {k}")
+                  for v, e in enumerate(g)) for k, g in enumerate(gens)]
     if not gens:
         raise EmptyGeneratorsError("generator list is empty")
     for g in gens:

@@ -78,13 +78,17 @@ def mask_bits(mask: int):
         mask &= mask - 1
 
 
+def _check_edge(u: int, v: int, n: int) -> None:
+    if not (0 <= u < n and 0 <= v < n):
+        raise ValueError(f"edge endpoint out of range: ({u}, {v}) with {n} vertices")
+    if u == v:
+        raise ValueError(f"self-loop ({u}, {v}) not allowed")
+
+
 def _build(n: int, edge_pairs, label_map=None) -> Graph:
     nbrs: list[set[int]] = [set() for _ in range(n)]
     for u, v in edge_pairs:
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge endpoint out of range: ({u}, {v}) with {n} vertices")
-        if u == v:
-            raise ValueError(f"self-loop ({u}, {v}) not allowed")
+        _check_edge(u, v, n)
         nbrs[u].add(v)
         nbrs[v].add(u)
     return Graph(n, tuple(frozenset(s) for s in nbrs), label_map)
@@ -176,7 +180,9 @@ def parse_edge_list(text: str) -> Graph:
             elif len(parts) != 2:
                 raise ValueError("expected '<u> <v>'")
             else:
-                edges.append((int(parts[0]), int(parts[1])))
+                u, v = int(parts[0]), int(parts[1])
+                _check_edge(u, v, count)
+                edges.append((u, v))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
     if count is None:

@@ -120,6 +120,18 @@ class UncertifiedRankError(RuntimeError):
 # sparse column-major representation
 
 
+def integral(v, where: str) -> int:
+    """v as an int where it equals one (a bool, a numpy integer, an integral
+    float); any other value raises ValueError naming its position ``where``."""
+    try:
+        n = int(v)
+        if n == v:
+            return n
+    except (TypeError, ValueError, OverflowError):  # nan, inf, None, "x"
+        pass
+    raise ValueError(f"{where} is not an integer: {v!r}")
+
+
 class SparseCols:
     """Integer matrix stored as per-column sorted lists of (row, value)."""
 
@@ -139,8 +151,10 @@ class SparseCols:
             if len(row) != ncols:
                 raise ValueError("ragged dense matrix")
             for j, v in enumerate(row):
+                if type(v) is not int:
+                    v = integral(v, f"entry ({i}, {j})")
                 if v:
-                    cols[j].append((i, int(v)))
+                    cols[j].append((i, v))
         return cls(nrows, ncols, cols)
 
     def to_dense(self) -> list[list[int]]:

@@ -1,12 +1,14 @@
 """Tensor products with a complete quadratic block, and their block matrices.
 
-B is the inner algebra A tensored with k[x_1..x_n]/(x_1..x_n)^2.  Its graded
-basis is imposed block by block: for 1 <= i <= D the degree-i basis is
-x_1 * (degree i-1 basis of A), ..., x_n * (degree i-1 basis of A), then the
-degree-i basis of A itself.  With that ordering the matrix of multiplication
-by the all-ones form literally shows the block layout: copies of the inner
-one-step matrix on the diagonal, identity blocks in the last column block,
-and the next inner matrix in the corner.
+B is the inner algebra A tensored with k[x_1..x_n]/(x_1..x_n)^2.  ``_product``
+builds it from the factors' bases, the quadratic block first and A second,
+and that order is the block ordering of B's graded basis: for 1 <= i <= D the
+degree-i basis is x_1 * (degree i-1 basis of A), ..., x_n * (degree i-1
+basis of A), then the degree-i basis of A itself.  With that ordering the
+matrix of multiplication by the all-ones form literally shows the block
+layout: copies of the inner one-step matrix on the diagonal, identity blocks
+in the last column block, and the next inner matrix in the corner.  The
+products A1 tensor A2 of the failure witnesses are built by ``_product`` too.
 
 The rank of the big matrix then matches a prediction computed purely from
 the inner algebra: for interior degrees the map is injective (surjective)
@@ -28,7 +30,6 @@ from .algebra import (
     LinearForm,
     MonomialAlgebra,
     Monomial,
-    from_generators,
     multiplication_map,
 )
 
@@ -49,42 +50,37 @@ class TensorAlgebra:
             raise ValueError("inner algebra must have positive socle degree")
         self.n = n
         self.inner = inner
-        self.realized = _realize(n, inner)
+        block = _quadratic(n)
+        self.realized = _product(block, inner, block.var_labels + inner.var_labels)
 
     def __repr__(self):
         return f"TensorAlgebra(n={self.n}, inner={self.inner!r})"
 
 
-def _embed(m: Monomial, n: int) -> Monomial:
-    return (0,) * n + tuple(m)
+def _quadratic(n: int) -> MonomialAlgebra:
+    """k[x_1..x_n]/(x_1..x_n)^2, with basis 1, x_1, ..., x_n."""
+    units = [tuple(int(v == j) for v in range(n)) for j in range(n)]
+    gens = [tuple(p + q for p, q in zip(units[a], units[b]))
+            for a in range(n) for b in range(a, n)]
+    return MonomialAlgebra(n, gens, bases=[[(0,) * n], units])
 
 
-def _with_x(j: int, m: Monomial, n: int) -> Monomial:
-    out = [0] * n + list(m)
-    out[j] = 1
-    return tuple(out)
+def _product(a1: MonomialAlgebra, a2: MonomialAlgebra, labels) -> MonomialAlgebra:
+    """a1 tensor a2, on a1's variables followed by a2's.
 
-
-def _realize(n: int, inner: MonomialAlgebra) -> MonomialAlgebra:
-    num_vars = n + inner.num_vars
-    gens = [
-        tuple((1 if v in (a, b) else 0) if a != b else (2 if v == a else 0)
-              for v in range(num_vars))
-        for a in range(n) for b in range(a, n)
-    ]
-    gens.extend(_embed(g, n) for g in inner.generators)
-    d_top = inner.socle_degree
-    bases: list[list[Monomial]] = [[(0,) * num_vars]]
-    for i in range(1, d_top + 1):
-        level: list[Monomial] = []
-        for j in range(n):
-            level.extend(_with_x(j, m, n) for m in inner.basis(i - 1))
-        level.extend(_embed(m, n) for m in inner.basis(i))
-        bases.append(level)
-    bases.append([_with_x(j, m, n) for j in range(n) for m in inner.basis(d_top)])
+    x + y is standard exactly when x is standard in a1 and y in a2, so the
+    degree-k basis is every x + y with x in [a1]_i and y in [a2]_{k-i}: the x
+    in descending tuple order, and for each x the y in a2's basis order.  The
+    generators are a1's, padded with zeros, then a2's.  Raises AssertionError
+    when a factor's basis holds a monomial that its generators divide.
+    """
+    pad1, pad2 = (0,) * a2.num_vars, (0,) * a1.num_vars
+    gens = [g + pad1 for g in a1.generators] + [pad2 + g for g in a2.generators]
+    xs = sorted((x for level in a1.bases for x in level), reverse=True)
+    bases = [[x + y for x in xs for y in a2.basis(k - sum(x))]
+             for k in range(a1.socle_degree + a2.socle_degree + 1)]
     _check_standard([m for level in bases for m in level], gens)
-    labels = tuple(f"x{j + 1}" for j in range(n)) + tuple(inner.var_labels)
-    return MonomialAlgebra(num_vars, gens, bases=bases, var_labels=labels)
+    return MonomialAlgebra(a1.num_vars + a2.num_vars, gens, bases=bases, var_labels=labels)
 
 
 def _check_standard(monomials: list[Monomial], gens: list[Monomial]) -> None:
@@ -261,16 +257,6 @@ def checked_verdicts(algebras, block_vars, keep=None):
                 yield (idx, *rows[-1])
 
 
-def _tensor_product(a1: MonomialAlgebra, a2: MonomialAlgebra) -> MonomialAlgebra:
-    n1 = a1.num_vars
-    gens = [tuple(g) + (0,) * a2.num_vars for g in a1.generators]
-    gens.extend((0,) * n1 + tuple(g) for g in a2.generators)
-    labels = tuple(f"a_{lbl}" for lbl in a1.var_labels) + tuple(
-        f"b_{lbl}" for lbl in a2.var_labels
-    )
-    return from_generators(n1 + a2.num_vars, gens, var_labels=labels)
-
-
 def tensor_failure_witness(
     a1: MonomialAlgebra, i: int, a2: MonomialAlgebra, j: int, mode: str
 ) -> bool:
@@ -292,7 +278,10 @@ def tensor_failure_witness(
         raise ValueError(f"the first map (degree {i}) does not fail {mode}")
     if flags2[pick]:
         raise ValueError(f"the second map (degree {j}) does not fail {mode}")
-    combined = _tensor_product(a1, a2)
+    labels = tuple(f"a_{lbl}" for lbl in a1.var_labels) + tuple(
+        f"b_{lbl}" for lbl in a2.var_labels
+    )
+    combined = _product(a1, a2, labels)
     degree = i + j + 1 if mode == "surjective" else i + j
     inj, surj = map_flags(combined, LinearForm.all_ones(combined.num_vars), degree, 1)
     return not (surj if mode == "surjective" else inj)

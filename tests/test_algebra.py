@@ -1,5 +1,6 @@
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -93,6 +94,20 @@ class TestFromGraph:
         assert lollipop_listed()
 
 
+class TestLinearForm:
+    def test_non_integer_coefficient_rejected(self):
+        # truncated, (0.4, 0.3) read as zero and failed as "must be nonzero"
+        with pytest.raises(ValueError, match=r"^coefficient 0 is not an integer: 0.4$"):
+            LinearForm((0.4, 0.3))
+        with pytest.raises(ValueError, match=r"^coefficient 1 is not an integer: inf$"):
+            LinearForm((1, float("inf")))
+        ell = LinearForm((1.0, np.int64(-2), True))
+        assert ell.coefficients == (1, -2, 1)
+        assert all(type(c) is int for c in ell.coefficients)
+        with pytest.raises(ValueError, match="must be nonzero"):
+            LinearForm((0.0, 0))
+
+
 class TestFromGenerators:
     def test_two_squares(self):
         a = from_generators(2, [(2, 0), (0, 2)])
@@ -117,6 +132,15 @@ class TestFromGenerators:
     def test_constant_rejected(self):
         with pytest.raises(ValueError):
             from_generators(1, [(0,)])
+
+    def test_non_integer_exponent_rejected(self):
+        # truncated, 2.9 read as 2 and built k[y1,y2]/(y1^2, y2^2)
+        with pytest.raises(ValueError, match=r"^exponent 0 of generator 0 is not an integer: 2.9$"):
+            from_generators(2, [(2.9, 0), (0, 2)])
+        with pytest.raises(ValueError, match=r"^exponent 1 of generator 1 is not an integer: nan$"):
+            from_generators(2, [(2, 0), (0, float("nan"))])
+        a = from_generators(2, [(2.0, 0), (0, np.int64(2)), (True, True)])
+        assert a.generators == ((2, 0), (1, 1), (0, 2)) and a.dims == (1, 2)
 
     def test_mixed_generators(self):
         # k[y1,y2]/(y1^3, y2^2, y1 y2): basis 1, y1, y2, y1^2

@@ -143,6 +143,11 @@ def test_parse_edge_list():
         parse_edge_list("n x\n")
     with pytest.raises(ValueError, match=r"^line 3: invalid literal for int\(\) .*'a'$"):
         parse_edge_list("n 2\n0 1\n0 a\n")
+    with pytest.raises(ValueError, match=r"^line 3: self-loop \(1, 1\) not allowed$"):
+        parse_edge_list("n 3\n0 1\n1 1\n")
+    with pytest.raises(ValueError,
+                       match=r"^line 2: edge endpoint out of range: \(1, 5\) with 3 vertices$"):
+        parse_edge_list("n 3\n1 5\n")
 
 
 def test_read_edge_list(tmp_path):

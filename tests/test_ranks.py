@@ -91,6 +91,28 @@ class TestSparseCols:
         d = sp.to_json_dict(rank=2)
         assert d == {"shape": [2, 2], "entries": [[0, 0, 1], [1, 1, 2]], "rank": 2}
 
+    @pytest.mark.parametrize("rows, where", [
+        ([[0.5, 1], [1, 2]], r"\(0, 0\)"),
+        ([[1, 2], [Fraction(1, 2), 1]], r"\(1, 0\)"),
+        (np.array([[1.0, 0.5], [2.0, 1.0]]), r"\(0, 1\)"),
+        ([[float("nan")]], r"\(0, 0\)"),
+        ([[1, float("inf")]], r"\(0, 1\)"),
+        ([[0.5]], r"\(0, 0\)"),
+    ])
+    def test_non_integer_entries_rejected(self, rows, where):
+        # truncated, [[0.5, 1], [1, 2]] read as rank 2, and [[0.5]] stored an
+        # explicit zero; the rational ranks are 1 and 1
+        for route in (SparseCols.from_dense, ranks.exact_rank, rank_bareiss, rank_modular):
+            with pytest.raises(ValueError, match=rf"^entry {where} is not an integer: "):
+                route(rows)
+
+    def test_integral_entries_accepted(self):
+        assert ranks.exact_rank(np.eye(3)) == 3
+        assert ranks.exact_rank([[True, False], [True, False]]) == 1
+        sp = SparseCols.from_dense([[np.int64(2), 0.0], [-1.0, np.int8(0)]])
+        assert sp.cols == [[(0, 2), (1, -1)], []]
+        assert all(type(v) is int for col in sp.cols for _, v in col)
+
 
 @st.composite
 def _integer_matrices(draw):

@@ -6,6 +6,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wlpgraph import (
     LinearForm,
@@ -14,6 +16,7 @@ from wlpgraph import (
     from_generators,
     from_graph,
     hilbert_series,
+    lollipop,
     multiplication_map,
     path,
     tensor_failure_witness,
@@ -375,6 +378,44 @@ class TestFailureWitness:
         a = ky_mod(2)
         with pytest.raises(ValueError):
             tensor_failure_witness(a, 0, a, 0, "bijective")
+
+    def test_forged_factor_rejected(self):
+        # the forged factor of test_forged_basis_rejected fails injectivity at
+        # degree 2, as k[y]/(y^2) does at degree 1; their product is checked
+        forged = MonomialAlgebra(1, [(2,)], bases=[[(0,)], [(1,)], [(2,)]])
+        with pytest.raises(AssertionError,
+                           match=r"monomial \(0, 2\) is divisible by generator \(0, 2\)"):
+            tensor_failure_witness(ky_mod(2), 1, forged, 2, "injective")
+
+
+@st.composite
+def _factors(draw):
+    """A draw within the bounds of random_artinian_algebra, a path or a lollipop."""
+    kind = draw(st.sampled_from(["sampler", "path", "lollipop"]))
+    if kind == "path":
+        return from_graph(path(draw(st.integers(1, 6))))
+    if kind == "lollipop":
+        return from_graph(lollipop(draw(st.integers(3, 4)), draw(st.integers(1, 3))))
+    k = draw(st.integers(1, 4))
+    powers = draw(st.lists(st.integers(2, 4), min_size=k, max_size=k))
+    pure = [tuple(e if v == j else 0 for v in range(k)) for j, e in enumerate(powers)]
+    extra = draw(st.lists(st.tuples(*[st.integers(0, 2)] * k).filter(lambda m: 2 <= sum(m) <= 4),
+                          max_size=2 * k))
+    return from_generators(k, pure + extra)
+
+
+@given(a1=_factors(), a2=_factors())
+@settings(max_examples=60, deadline=None)
+def test_product_matches_from_generators(a1, a2):
+    # a monomial of a1 (x) a2 is standard exactly when both of its parts are
+    labels = tuple(f"a{j}" for j in range(a1.num_vars)) + tuple(f"b{j}" for j in range(a2.num_vars))
+    gens = ([g + (0,) * a2.num_vars for g in a1.generators]
+            + [(0,) * a1.num_vars + g for g in a2.generators])
+    want = from_generators(a1.num_vars + a2.num_vars, gens, var_labels=labels)
+    got = tensor._product(a1, a2, labels)
+    assert got.bases == want.bases
+    assert set(got.generators) == set(want.generators)
+    assert got.var_labels == labels
 
 
 @pytest.mark.parametrize("via_verdict", [False, True])
