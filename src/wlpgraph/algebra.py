@@ -68,10 +68,6 @@ class LinearForm:
         """x_1 + ... + x_n; one shared (immutable) instance per arity."""
         return LinearForm((1,) * num_vars)
 
-    @property
-    def is_all_ones(self) -> bool:
-        return all(c == 1 for c in self.coefficients)
-
 
 class MonomialAlgebra:
     """Artinian quotient of a polynomial ring by a monomial ideal.
@@ -142,19 +138,26 @@ class MonomialAlgebra:
     def map_rank(self, ell: LinearForm, i: int, t: int = 1) -> int:
         """The certified rank of ell^t from degree i, memoized per algebra.
 
-        With the all-ones form on a graph with commuting involutions it is the
-        sum of the ranks of the blocks of :func:`symmetry.symmetric_blocks`,
-        compared under :func:`ranks.recording` with the unsplit map where that
-        is small enough; otherwise ``multiplication_map(self, ell, i, t).rank``.
-        Only the integer is kept.  An uncertified rank raises
+        The arguments are checked as by :func:`multiplication_map`, on every
+        route.  A map from or into a zero space has rank 0, returned before
+        anything is built, memoized or recorded.  With the all-ones form on a
+        graph with commuting involutions the rank is the sum of the ranks of
+        the blocks of :func:`symmetry.symmetric_blocks`, compared under
+        :func:`ranks.recording` with the unsplit map where that is small
+        enough; otherwise ``multiplication_map(self, ell, i, t).rank``.  Only
+        the integer is kept.  An uncertified rank raises
         :class:`ranks.UncertifiedRankError`, naming the degree, and is not
         stored.
         """
+        _check_map_args(self, ell, i, t)
+        if not self.dim(i) or not self.dim(i + t):
+            return 0
         key = (ell.coefficients, i, t)
         rank = self._rank_cache.get(key)
         if rank is not None:
             return rank
-        gens = involution_group(self.graph) if self.graph is not None and ell.is_all_ones else ()
+        all_ones = self.graph is not None and ell == LinearForm.all_ones(self.num_vars)
+        gens = involution_group(self.graph) if all_ones else ()
         if gens:
             matrices = symmetric_blocks(self, gens, i, t)
         else:
@@ -302,18 +305,24 @@ class GradedMap:
         return self.matrix.to_json_dict(rank=self.rank)
 
 
-def multiplication_map(a: MonomialAlgebra, ell: LinearForm, i: int, t: int = 1) -> GradedMap:
-    """The map given by multiplying degree-i basis monomials by ell^t.
-
-    Monomials divisible by an ideal generator vanish; for t >= 2 the matrix is
-    the composition of t single-step maps (an exact integer product).
-    """
+def _check_map_args(a: MonomialAlgebra, ell: LinearForm, i: int, t: int) -> None:
+    """Refuse what no multiplication map of ``a`` is: a negative source
+    degree, a power below 1, a form of another arity."""
     if i < 0:
         raise ValueError("degree must be non-negative")
     if t < 1:
         raise ValueError("t must be >= 1")
     if len(ell.coefficients) != a.num_vars:
         raise ValueError("linear form arity does not match the algebra")
+
+
+def multiplication_map(a: MonomialAlgebra, ell: LinearForm, i: int, t: int = 1) -> GradedMap:
+    """The map given by multiplying degree-i basis monomials by ell^t.
+
+    Monomials divisible by an ideal generator vanish; for t >= 2 the matrix is
+    the composition of t single-step maps (an exact integer product).
+    """
+    _check_map_args(a, ell, i, t)
     matrix = _single_step_matrix(a, ell, i)
     for step in range(1, t):
         matrix = _single_step_matrix(a, ell, i + step).matmul(matrix)

@@ -16,6 +16,9 @@ from .algebra import LinearForm, MonomialAlgebra, from_graph, hilbert_series, mu
 from .graphs import classify_family, lollipop
 from .indpoly import IntPolynomial, mode_analysis
 
+# The paths P_n whose algebra A(P_n) has the WLP.
+PATH_WLP = frozenset({1, 2, 3, 4, 5, 6, 7, 9, 10, 13})
+
 
 @dataclass(frozen=True)
 class DegreeVerdict:
@@ -99,23 +102,21 @@ def wlp_report_with_form(a: MonomialAlgebra, ell: LinearForm) -> WlpReport:
 
     For non-all-ones forms this decides whether this particular form is a
     Lefschetz element, which for monomial ideals is sufficient but not
-    necessary for the WLP.  A graph algebra with the all-ones form gets its
-    ranks from the path and lollipop reductions where its graph is one of
-    those; every other rank comes from :meth:`MonomialAlgebra.map_rank`,
-    which splits it over commuting involutions of the graph, if it has any.
+    necessary for the WLP.  A graph algebra with the all-ones form of its
+    arity gets its ranks from the path and lollipop reductions where its
+    graph is one of those; every other rank comes from
+    :meth:`MonomialAlgebra.map_rank`, which checks ``ell`` against the
+    algebra, gives the top map into the zero space rank 0, and splits the
+    rest over commuting involutions of the graph, if it has any.
     """
     hs = hilbert_series(a)
     d_top = a.socle_degree
-    family = classify_family(a.graph) if ell.is_all_ones and a.graph is not None else None
+    all_ones = a.graph is not None and ell == LinearForm.all_ones(a.num_vars)
+    family = classify_family(a.graph) if all_ones else None
     verdicts = []
     for i in range(d_top + 1):
-        h_i = a.dim(i)
-        h_next = a.dim(i + 1)
-        if h_next == 0:
-            verdicts.append(_verdict(i, h_i, 0, 0))
-            continue
         rank = _oracle_rank(family, a, i) if family else a.map_rank(ell, i)
-        verdicts.append(_verdict(i, h_i, h_next, rank))
+        verdicts.append(_verdict(i, a.dim(i), a.dim(i + 1), rank))
     failing = tuple(
         (v.degree, _failure_kind(v)) for v in verdicts if not v.maximal_rank
     )
@@ -148,13 +149,12 @@ def wlp_report(a: MonomialAlgebra) -> WlpReport:
 
 
 def expected_lollipop_wlp(m: int, n: int) -> bool:
-    """The classification's predicted verdict for A(L_{m,n})."""
+    """The classification's predicted verdict for A(L_{m,n}); for m <= 2 the
+    lollipop is the path P_{n+m}."""
     if m < 1 or n < 1:
         raise ValueError("m and n must be positive")
-    if m == 1:
-        return n in {1, 2, 3, 4, 5, 6, 8, 9, 12}
-    if m == 2:
-        return n in {1, 2, 3, 4, 5, 7, 8, 11}
+    if m <= 2:
+        return n + m in PATH_WLP
     return n in {1, 3, 4, 7}
 
 

@@ -48,16 +48,17 @@ It holds G and O(``_BLOCK`` n) elements, and is tried only where that is no
 more than the echelon form below would hold.
 
 Every other core (deficient, or refused by that stage) has its rows streamed
-in blocks through a reduced row echelon form [I | X] modulo one prime
-p < 2^20 (:func:`_echelon`), holding only X and one row block.  Pivots are
+in blocks through a reduced row echelon form [I | X] modulo one fixed prime,
+p = ``ENGINE_PRIME`` = 2^20 - 3 (:func:`_echelon`), so that no result depends
+on a prime drawn at random; it holds only X and one row block.  Pivots are
 leftmost, so the pivot set is the column rank profile mod p.  The echelon
 form gives both halves of the certificate: the rank mod p, a lower bound for
 the rational rank (a nonzero minor mod p is nonzero over Z), which settles
 full rank on its own; and for a deficient core the kernel basis mod p
 [-X; I], whose vectors, rationally reconstructed and checked exactly, cap
-the rank (:func:`exact_right_null_vectors`, with a CRT fallback over more
-primes).  The core's nonzeros are sorted by row once (:class:`_Rows`), and
-every stage, prime and check reads them from there.
+the rank (:func:`exact_right_null_vectors`, with a CRT fallback over the
+primes below p).  The core's nonzeros are sorted by row once
+(:class:`_Rows`), and every stage, prime and check reads them from there.
 
 The elimination runs over float64, so its products are BLAS matrix
 products.  Residues are kept centred, |x| <= h = p//2 + 2 < 2^19 + 2
@@ -79,7 +80,6 @@ import random
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import islice
 from math import gcd, isqrt, ldexp
 from typing import NamedTuple
 
@@ -306,7 +306,9 @@ def _primes_down(n: int):
     return (k for k in range(n - 1 - n % 2, 2, -2) if _is_probable_prime(k))
 
 
-SMALL_PRIMES: tuple[int, ...] = tuple(islice(_primes_down(1 << 20), 60))
+# The one prime of the engine's elimination, the largest below 2^20; the
+# certificate's fallback primes lie below it.
+ENGINE_PRIME = next(_primes_down(1 << 20))
 
 
 def random_primes(lo: int, hi: int, count: int, rng: random.Random) -> list[int]:
@@ -756,15 +758,15 @@ def exact_right_null_vectors(matrix, count: int, ech: _Echelon) -> NullVectors:
 
     Each is rationally reconstructed and checked by :func:`_annihilated`.
     While some fail, X is combined on them by CRT with the echelon form at
-    the next fallback prime, if its rank and pivot set (column rank profile)
-    agree: the rational form reduces to it there.  An unlucky prime only
-    lowers the rank or moves a pivot right, so a higher rank, or a
-    lexicographically smaller pivot set, restarts the combination.  The
-    vectors returned belong to the last start, and ``rank`` is its rank mod
-    p, so a certificate completed after a restart at a higher rank certifies
-    that rank.
+    the next fallback prime (the primes below p, descending), if its rank
+    and pivot set (column rank profile) agree: the rational form reduces to
+    it there.  An unlucky prime only lowers the rank or moves a pivot right,
+    so a higher rank, or a lexicographically smaller pivot set, restarts the
+    combination.  The vectors returned belong to the last start, and
+    ``rank`` is its rank mod p, so a certificate completed after a restart
+    at a higher rank certifies that rank.
     """
-    primes = _primes_down(min(SMALL_PRIMES))
+    primes = _primes_down(ech.p)
     best, vectors = None, []
     for tried in range(CRT_MAX_PRIMES + 1):
         if tried:
@@ -873,25 +875,25 @@ def exact_rank(matrix) -> int:
     return info.certified_rank(f"rank {info.rank} of a {info.shape[0]}x{info.shape[1]} matrix")
 
 
-def exact_rank_info(matrix, seed: int = 0) -> RankInfo:
+def exact_rank_info(matrix) -> RankInfo:
     """Rank over Q with the route picked by size.
 
     Small matrices go through Bareiss (unconditional).  Larger ones are
-    peeled, and the core is echelonized once modulo a small prime drawn from
-    its shape and ``seed``: full modular rank certifies itself, and a
-    deficient rank, of any nullity, is certified by exact integer null
-    vectors of the core (one per unit of its nullity) read from the same
-    echelon form, or from the fallback primes of the certificate.  If it
-    cannot be completed, the highest rank mod p it reached is returned with
+    peeled, and the core is echelonized once modulo ``ENGINE_PRIME``: full
+    modular rank certifies itself, and a deficient rank, of any nullity, is
+    certified by exact integer null vectors of the core (one per unit of its
+    nullity) read from the same echelon form, or from the fallback primes of
+    the certificate, which lie below ``ENGINE_PRIME``.  If it cannot be
+    completed, the highest rank mod p it reached is returned with
     ``certified=False``; a core whose elimination would hold more than
     ``DENSE_ELEMS_CAP`` elements raises :class:`UncertifiedRankError`.
     """
     sp = _coerce(matrix)
-    info = _exact_rank_info_inner(sp, seed)
+    info = _exact_rank_info_inner(sp)
     if _registry is not None:
         if min(sp.nrows, sp.ncols) and min(sp.nrows, sp.ncols) <= CROSSCHECK_CAP:
             rb = rank_bareiss(sp)
-            rm = rank_modular(sp, prime_count=3, seed=seed)
+            rm = rank_modular(sp, prime_count=3)
             info.crosscheck = {"bareiss": rb, "modular": rm}
             if not (rb == rm == info.rank):
                 raise RankComputationError(
@@ -905,10 +907,10 @@ def exact_rank_info(matrix, seed: int = 0) -> RankInfo:
 def crosscheck_structured_rank(rank: int, min_dim: int, build, where: str) -> None:
     """Under :func:`recording`, compare a rank obtained without the engine
     (``rank``, of a matrix with smaller dimension ``min_dim``) with the
-    engine's rank of ``build()``, if ``min_dim <= CROSSCHECK_CAP``; a
-    disagreement raises.  Outside a recording scope this does nothing, and
-    ``build`` is not called."""
-    if _registry is None or min_dim > CROSSCHECK_CAP:
+    engine's rank of ``build()``, if ``0 < min_dim <= CROSSCHECK_CAP``; a
+    disagreement raises.  Outside a recording scope, or for a map from or
+    into a zero space, this does nothing, and ``build`` is not called."""
+    if _registry is None or not 0 < min_dim <= CROSSCHECK_CAP:
         return
     info = exact_rank_info(build())
     if info.rank != rank:
@@ -917,15 +919,7 @@ def crosscheck_structured_rank(rank: int, min_dim: int, build, where: str) -> No
         )
 
 
-def _engine_prime(shape: tuple[int, int], seed: int, max_entry: int) -> int:
-    """The engine's prime for this shape: the first of a seeded shuffle above every entry."""
-    rng = random.Random(seed ^ (shape[0] * 1_000_003 + shape[1]))
-    primes = list(SMALL_PRIMES)
-    rng.shuffle(primes)
-    return next((p for p in primes if p > max_entry), primes[0])
-
-
-def _exact_rank_info_inner(sp: SparseCols, seed: int) -> RankInfo:
+def _exact_rank_info_inner(sp: SparseCols) -> RankInfo:
     shape = (sp.nrows, sp.ncols)
     nnz = sp.nnz
     if sp.nrows == 0 or sp.ncols == 0 or nnz == 0:
@@ -942,7 +936,7 @@ def _exact_rank_info_inner(sp: SparseCols, seed: int) -> RankInfo:
     if _cholesky_certifies(tall):
         return RankInfo(base + mind, True, "peel+modular-full", shape, nnz)
     # the rank mod p bounds the rank from below; exact kernel vectors cap it
-    ech = _echelon(tall, _engine_prime(shape, seed, tall.max_abs))
+    ech = _echelon(tall, ENGINE_PRIME)
     if ech.piv.size == mind:
         return RankInfo(base + mind, True, "peel+modular-full", shape, nnz)
     vecs = exact_right_null_vectors(tall, mind - ech.piv.size, ech)

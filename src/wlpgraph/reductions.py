@@ -61,10 +61,11 @@ def path_ell2_rank(n: int, j: int) -> int:
 
     :meth:`MonomialAlgebra.map_rank` adds up the certified ranks of the
     sigma-even and sigma-odd blocks and, under :func:`ranks.recording`,
-    compares the sum with the unsplit matrix wherever that is small enough.
+    compares the sum with the unsplit matrix wherever that is small enough;
+    a map into the zero space has rank 0 there, before anything is built.
     An error names the path, the power and the degree.
     """
-    if n <= 0 or j < 0 or j + 2 >= len(path_dims(n)):
+    if n <= 0 or j < 0:
         return 0
     what = f"ell^2 rank of P_{n} at degree {j}"
     try:

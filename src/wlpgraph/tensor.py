@@ -156,18 +156,14 @@ class BlockMatrixReport:
 
 
 def map_flags(a: MonomialAlgebra, ell: LinearForm, i: int, t: int) -> tuple[bool, bool]:
-    """(injective, surjective) of ell^t from degree i, with zero-space conventions.
+    """(injective, surjective) of ell^t from degree i.  A map from the zero
+    space is injective and a map into it surjective, as
+    :meth:`MonomialAlgebra.map_rank` gives either rank 0.
 
     Raises :class:`ranks.UncertifiedRankError` when the rank is not certified.
     """
-    h_src = a.dim(i)
-    h_tgt = a.dim(i + t)
-    if h_src == 0:
-        return True, h_tgt == 0
-    if h_tgt == 0:
-        return False, True
     rank = a.map_rank(ell, i, t)
-    return rank == h_src, rank == h_tgt
+    return rank == a.dim(i), rank == a.dim(i + t)
 
 
 def verdict_via_theorem(tb: TensorAlgebra, i: int) -> BlockMatrixReport:

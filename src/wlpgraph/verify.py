@@ -13,7 +13,7 @@ from . import ranks
 from .algebra import LinearForm, from_generators, from_graph, hilbert_series, multiplication_map
 from .graphs import custom, lollipop, path
 from .indpoly import independence_polynomial, mode_analysis, mode_of_path
-from .lefschetz import classify_lollipop, failure_localization, wlp_report
+from .lefschetz import PATH_WLP, classify_lollipop, failure_localization, wlp_report
 from .tensor import (algebra_key, block_matrix, checked_verdicts, map_flags, tensor_failure_witness,
                      tensor_with_squarefree_block)
 
@@ -29,7 +29,6 @@ HILBERT_EXAMPLES = {
     (3, 7): (1, 10, 35, 50, 25, 2),
 }
 
-PATH_WLP_SET = frozenset({1, 2, 3, 4, 5, 6, 7, 9, 10, 13})
 PATH_PURE_SURJECTIVITY = (8, 11, 14, 15, 17)
 
 
@@ -93,7 +92,7 @@ def check_path_classification() -> CheckResult:
     problems = []
     for n in range(1, 21):
         report = wlp_report(from_graph(path(n)))
-        want = n in PATH_WLP_SET
+        want = n in PATH_WLP
         if report.has_wlp != want:
             problems.append(f"n={n}: wlp={report.has_wlp}")
             continue

@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import numpy as np
@@ -26,9 +27,11 @@ from wlpgraph import (
 )
 from wlpgraph import algebra as algebra_module
 from wlpgraph import indpoly as indpoly_module
+from wlpgraph import ranks
 from wlpgraph.indpoly import IntPolynomial
-from wlpgraph.lefschetz import classify_lollipop
+from wlpgraph.lefschetz import classify_lollipop, wlp_report_with_form
 from wlpgraph.ranks import rank_bareiss
+from wlpgraph.verify import random_artinian_algebra
 
 from conftest import random_graph
 
@@ -282,12 +285,59 @@ class TestMapRank:
         built = _spy_builds(monkeypatch)
         for _ in range(2):
             assert [a.map_rank(ell, i, t) for i in range(3) for t in (1, 2)] == want
-        assert built == [(i, t) for i in range(3) for t in (1, 2)]
+        # the socle degree is 3: ell^2 from degree 2 lands in the zero space,
+        # and its rank 0 is returned without building the map
+        assert built == [(i, t) for i in range(3) for t in (1, 2) if (i, t) != (2, 2)]
         other = LinearForm((1,) * 6 + (2,))  # a new form is a new key
         assert a.map_rank(other, 1) == multiplication_map(a, other, 1).rank
-        assert a.map_rank(ell, 1) == a.map_rank(ell, 1, 1) and len(built) == 7
+        assert a.map_rank(ell, 1) == a.map_rank(ell, 1, 1) and len(built) == 6
         from_graph(lollipop(3, 4)).map_rank(ell, 0)  # another instance has its own memo
-        assert len(built) == 8
+        assert len(built) == 7
+
+    @pytest.mark.parametrize("route", ["formula", "split", "generic"])
+    def test_arguments_checked_on_every_route(self, route):
+        # P_4 takes the lollipop formula in wlp_report and the reflection
+        # split in map_rank; a relabelled C_5 takes the split in both; the
+        # generic algebra builds the map
+        a = {"formula": lambda: from_graph(path(4)),
+             "split": lambda: from_graph(custom(5, [(0, 3), (3, 1), (1, 4), (4, 2), (2, 0)])),
+             "generic": lambda: from_generators(3, [(2, 0, 0), (0, 2, 0), (0, 0, 3), (1, 1, 0)]),
+             }[route]()
+        for wrong in (LinearForm.all_ones(a.num_vars - 1), LinearForm.all_ones(a.num_vars + 1)):
+            with pytest.raises(ValueError, match="arity does not match"):
+                a.map_rank(wrong, 1)
+            with pytest.raises(ValueError, match="arity does not match"):
+                wlp_report_with_form(a, wrong)
+        ell = LinearForm.all_ones(a.num_vars)
+        with pytest.raises(ValueError, match="degree must be non-negative"):
+            a.map_rank(ell, -1)
+        with pytest.raises(ValueError, match="t must be >= 1"):
+            a.map_rank(ell, 0, 0)
+        # the checks come before the zero-space answer
+        with pytest.raises(ValueError, match="arity does not match"):
+            a.map_rank(LinearForm.all_ones(a.num_vars + 1), a.socle_degree + 5)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(("graph", "lollipop", "sampler")), st.integers(0, 10**6))
+    def test_rank_matches_the_built_map(self, kind, seed):
+        rng = random.Random(seed)
+        if kind == "graph":
+            a = from_graph(random_graph(rng, max_vertices=9))
+        elif kind == "lollipop":
+            g = lollipop(rng.randint(1, 4), rng.randint(1, 5))
+            label = rng.sample(range(g.vertex_count), g.vertex_count)
+            a = from_graph(custom(g.vertex_count, [(label[u], label[v]) for u, v in g.edges]))
+        else:
+            a = random_artinian_algebra(rng)
+        ell = LinearForm.all_ones(a.num_vars)
+        for t in (1, 2):
+            for i in range(a.socle_degree + 2):
+                registry = []
+                with ranks.recording(registry):
+                    got = a.map_rank(ell, i, t)
+                if not a.dim(i) or not a.dim(i + t):
+                    assert got == 0 and registry == [], (i, t)
+                assert got == multiplication_map(a, ell, i, t).rank, (i, t)
 
     def test_uncertified_is_not_stored(self, starved_engine, monkeypatch):
         # under these caps the degree-3 map of C_12 has only a lower bound:
@@ -358,5 +408,5 @@ def test_graded_map_json():
 def test_linear_form_validation():
     with pytest.raises(ValueError):
         LinearForm((0, 0))
-    assert LinearForm.all_ones(3).is_all_ones
+    assert LinearForm.all_ones(3) == LinearForm((1, 1, 1)) != LinearForm((1, 1))
     assert LinearForm.all_ones(3) is LinearForm.all_ones(3)

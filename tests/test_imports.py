@@ -45,7 +45,7 @@ def test_module_imports_are_used(module):
 
 
 # Records every prime that _is_probable_prime confirms while wlpgraph.cli is
-# imported, then prints their count and the smallest, and the engine's.
+# imported, then prints them and the engine's prime.
 _WATCH_PRIMES = """
 import sys
 found = []
@@ -56,7 +56,7 @@ sys.setprofile(watch)
 import wlpgraph.cli
 sys.setprofile(None)
 from wlpgraph import ranks
-print(len(found), min(found), len(ranks.SMALL_PRIMES), min(ranks.SMALL_PRIMES))
+print(*found, ranks.ENGINE_PRIME)
 """
 
 
@@ -69,15 +69,14 @@ def _child_env(**extra) -> dict:
 
 
 def test_cli_import_makes_only_the_engine_primes():
-    # every command pays for its import: the 60 engine primes are made then,
-    # and the primes of the certificate's CRT fallback, which lie below
-    # them, only when a certificate needs one
+    # every command pays for its import: the engine's one prime is made
+    # then, and the primes of the certificate's CRT fallback, which lie
+    # below it, only when a certificate needs one
     env = _child_env()
     out = subprocess.run([sys.executable, "-c", _WATCH_PRIMES], env=env,
                          capture_output=True, text=True, check=True).stdout
-    found, lowest, engine, engine_lowest = map(int, out.split())
-    assert found == engine <= 60
-    assert lowest == engine_lowest
+    *found, engine = map(int, out.split())
+    assert found == [engine] == [(1 << 20) - 3]
 
 
 @pytest.mark.parametrize("imports, extra, expected", [

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import islice
 from math import isqrt, lcm
 
 import numpy as np
@@ -9,12 +10,11 @@ from hypothesis import strategies as st
 
 from wlpgraph import ranks
 from wlpgraph.ranks import (
-    SMALL_PRIMES,
+    ENGINE_PRIME,
     SparseCols,
     _by_rows,
     _dense,
     _echelon,
-    _engine_prime,
     _peel,
     _rank_mod_p_int64,
     _rational_reconstruct,
@@ -29,6 +29,10 @@ from wlpgraph.ranks import (
 )
 
 from conftest import exact_product, rank_by_fractions
+
+# The 60 largest primes below 2^20, descending, for the tests that run the
+# echelon form and its certificate at more primes than the engine's one.
+SMALL_PRIMES = tuple(islice(ranks._primes_down(1 << 20), 60))
 
 
 def random_matrix(rng, max_dim=40, low_rank=False):
@@ -328,12 +332,12 @@ class TestModularKernels:
             assert free == forms[0][0] and np.array_equal(x, forms[0][1])
 
     def test_split_products_exact(self, rng, monkeypatch):
-        # residues near +-p/2 at the largest engine prime, with the inner
+        # residues near +-p/2 at the engine's prime, with the inner
         # dimension of an exact product cut to 64 terms: a row block is
         # reduced against up to 512 pivot rows in several pieces, with a
         # reduction after each; columns 100, 450 and 599 depend on earlier
         # ones, so the kernel is read too
-        p = max(SMALL_PRIMES)
+        p = ENGINE_PRIME
         nr = nc = 600
         half = p // 2
         a = [[rng.choice((-1, 1)) * rng.randint(half - 40, half) for _ in range(nc)]
@@ -593,17 +597,15 @@ class TestExactRankInfo:
 
     def test_unlucky_prime_still_certified(self, monkeypatch):
         # m = a b + p u w^T has rank k + 1 over Q but only k modulo p, the
-        # prime the engine draws first for this shape; its entries exceed
-        # every small prime, so the draw does not depend on them
+        # engine's prime
         shape, k = (190, 182), 170
-        p = _engine_prime(shape, 0, 1 << 30)
+        p = ENGINE_PRIME
         rng2 = np.random.default_rng(7)
         a = rng2.integers(-2, 3, size=(shape[0], k))
         b = rng2.integers(-2, 3, size=(k, shape[1]))
         u = rng2.integers(-2, 3, size=(shape[0], 1))
         w = rng2.integers(-2, 3, size=(1, shape[1]))
         sp = SparseCols.from_dense((a @ b + p * (u @ w)).tolist())
-        assert _engine_prime(shape, 0, sp.max_abs()) == p
         core = ranks._peel(sp)[0]
         assert (core.nrows, core.ncols) == shape
         assert shape[0] * shape[1] * min(shape) > ranks.BAREISS_OPS_CAP  # not Bareiss
@@ -624,12 +626,12 @@ class TestExactRankInfo:
         assert info.rank == rank_bareiss(sp) == k + 1
         # the first fallback prime has rank k + 1, so it restarts the
         # combination: the one certificate drops p's basis and completes the
-        # kernel of rank k + 1, which certifies that rank, so no engine prime
-        # after p is tried
+        # kernel of rank k + 1, which certifies that rank; every prime after
+        # p is a fallback prime of that certificate, below p
         (((_, count_p, ech_p), _, vecs),) = nullcert
         assert ech_p.p == p and count_p == shape[1] - k
         assert echelons[1][2].piv.size == k + 1
-        assert all(args[1] not in SMALL_PRIMES for args, _, _ in echelons[1:])
+        assert all(args[1] < p for args, _, _ in echelons[1:])
         assert vecs.rank == k + 1 and len(vecs) == shape[1] - k - 1
         assert len(combined) < ranks.CRT_MAX_PRIMES
 
@@ -642,15 +644,12 @@ class TestExactRankInfo:
         # Q it is a b + p u w^T
         k = data.draw(st.integers(1, min(nrows, ncols) - 1), label="k")
         rng2 = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-        shape = (nrows, ncols)
-        p = _engine_prime(shape, 0, 1 << 30)
+        p = ENGINE_PRIME
         a = rng2.integers(-2, 3, size=(nrows, k))
         b = rng2.integers(-2, 3, size=(k, ncols))
         u = rng2.choice([-2, -1, 1, 2], size=(nrows, 1))
         w = rng2.choice([-2, -1, 1, 2], size=(1, ncols))
-        u[0, 0] = 2  # some |entry| is near 2p, above every small prime
         sp = SparseCols.from_dense((a @ b + p * (u @ w)).tolist())
-        assert _engine_prime(shape, 0, sp.max_abs()) == p
         assert _peel(sp)[0].nrows == nrows  # no zero entry, so nothing peels
         original = ranks._echelon
         echelons = []
@@ -666,17 +665,15 @@ class TestExactRankInfo:
         assert len(echelons) < ranks.CRT_MAX_PRIMES
 
     def test_core_vanishing_mod_the_prime_is_certified(self, monkeypatch):
-        # m = p u w^T is zero modulo p, the engine's prime for its shape, so
-        # the echelon form there has rank 0; the certificate itself walks on
-        # to a fallback prime of rank 1, and no second engine prime is drawn
+        # m = p u w^T is zero modulo p, the engine's prime, so the echelon
+        # form there has rank 0; the certificate itself walks on to a
+        # fallback prime of rank 1, the first below p
         shape = (38, 6)
-        p = _engine_prime(shape, 0, 1 << 30)
+        p = ENGINE_PRIME
         rng2 = np.random.default_rng(12)
         u = rng2.choice([-2, -1, 1, 2], size=(shape[0], 1))
         w = rng2.choice([-2, -1, 1, 2], size=(1, shape[1]))
-        u[0, 0] = 2  # some |entry| is near 2p, above every small prime
         sp = SparseCols.from_dense((p * (u @ w)).tolist())
-        assert _engine_prime(shape, 0, sp.max_abs()) == p
         monkeypatch.setattr(ranks, "BAREISS_OPS_CAP", 0)
         monkeypatch.setattr(ranks, "_cholesky_certifies", lambda a: False)
         echelons = _spy(monkeypatch, "_echelon")
@@ -684,7 +681,7 @@ class TestExactRankInfo:
         assert info.certified and info.method == "peel+modular+nullcert"
         assert info.rank == rank_bareiss(sp) == 1
         assert echelons[0][2].p == p and echelons[0][2].piv.size == 0
-        assert [args[1] for args, _, _ in echelons if args[1] in SMALL_PRIMES] == [p]
+        assert [args[1] for args, _, _ in echelons] == [p, SMALL_PRIMES[1]]
 
     def test_dense_cap_respected(self, monkeypatch):
         # over the cap no elimination runs, so no rank is read from one:
@@ -735,7 +732,7 @@ class TestExactRankInfo:
     def test_agreement_with_engines(self, rng):
         for trial in range(40):
             m = random_matrix(rng, low_rank=trial % 2 == 0)
-            info = exact_rank_info(m, seed=trial)
+            info = exact_rank_info(m)
             assert info.certified
             assert info.rank == rank_bareiss(m)
 
@@ -883,9 +880,9 @@ class TestRecording:
     def test_registry_collects_and_crosschecks(self, rng):
         registry = []
         with recording(registry):
-            for trial in range(5):
+            for _ in range(5):
                 m = random_matrix(rng, max_dim=30)
-                exact_rank_info(m, seed=trial)
+                exact_rank_info(m)
         assert len(registry) == 5
         assert all(info.crosscheck for info in registry)
         for info in registry:
