@@ -15,7 +15,8 @@ import sys
 # engine's products are small with Python work between them, so that spin was
 # most of the process's CPU time.  4 is the smallest value OpenBLAS accepts.
 # A caller's value is kept, and once numpy is loaded setting it would do
-# nothing.
+# nothing.  Waking a sleeping worker costs milliseconds, so the engine runs
+# its bounded products with OpenBLAS held at one thread (ranks._one_blas_thread).
 if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
 

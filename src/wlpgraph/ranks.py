@@ -1,6 +1,7 @@
 """Exact rank of integer matrices over the rationals.
 
-Small matrices go through fraction-free Bareiss elimination over
+Small matrices, of rows * cols * min(rows, cols) <= ``BAREISS_OPS_CAP`` =
+200 000 (so min dim <= 58), go through fraction-free Bareiss elimination over
 arbitrary-precision integers -- unconditional -- in their wide orientation,
 with partial pivoting on magnitude (smallest nonzero pivot, to limit entry
 growth) and each row's scaling deferred until it is next eliminated.
@@ -65,6 +66,15 @@ products.  Residues are kept centred, |x| <= h = p//2 + 2 < 2^19 + 2
 (:func:`_reduce`), so a product with inner dimension K is exact while
 K h^2 + p < 2^53, that is for K <= 2^14 = ``_EXACT_TERMS``; longer products
 are split into pieces of that many terms, with a reduction between them.
+
+The products whose size is bounded run with OpenBLAS held at one thread
+(:func:`_one_blas_thread`): each row block's leaf echelon (:func:`_rref`, at
+most ``_BLOCK`` rows) and the Cholesky stage (n <= 1024).  Idle workers sleep
+at once (``OPENBLAS_THREAD_TIMEOUT``, set on import), and on 2 cores a
+128x128x472 product that woke one took about 7 ms, against 0.24 ms on one
+thread.  The block reduction against X and the joins into X keep the worker
+pool: their operands grow with the core.
+
 The memory budget counts the elements an elimination holds: X, at most n^2/4
 for n columns, and ``_BLOCK * n`` of the row block, not the certificate's
 arrays or the algebra; one over ``DENSE_ELEMS_CAP`` raises
@@ -100,7 +110,7 @@ _TINY = 2.0 ** -400
 
 # Route-selection and memory caps (correctness never depends on them: the
 # first picks which exact route runs, the second which matrices are refused).
-BAREISS_OPS_CAP = 1_000_000  # rows*cols*min budget for Bareiss (so min dim <= 100)
+BAREISS_OPS_CAP = 200_000  # rows*cols*min budget for Bareiss (so min dim <= 58)
 DENSE_ELEMS_CAP = 70_000_000  # one elimination only: X + a row block (~560 MB as float64)
 CRT_MAX_PRIMES = 805  # fallback primes of the null-vector certificate (~2^16000)
 
@@ -380,6 +390,50 @@ def _peel(sp: SparseCols):
 
 
 # ---------------------------------------------------------------------------
+# BLAS threads
+
+
+@lru_cache(maxsize=1)
+def _blas_threads():
+    """The get and set thread-count functions of numpy's bundled OpenBLAS,
+    found through ctypes on first use; None where they are not found (numpy
+    built on MKL or on a system BLAS)."""
+    import ctypes
+
+    try:
+        from numpy._core import _multiarray_umath as blas_user
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as blas_user
+    lib = ctypes.CDLL(blas_user.__file__)  # looks up symbols in its dependencies too
+    for prefix in ("scipy_openblas", "openblas"):
+        for suffix in ("64_", ""):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                set_.restype = None
+                return get, set_
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Hold OpenBLAS at one thread, and restore the count it had on exit, also
+    on an exception (why, in the module docstring).  The count is
+    process-wide.  Without the controls this does nothing."""
+    controls = _blas_threads()
+    if controls is None:
+        yield
+        return
+    get, set_ = controls
+    count = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(count)
+
+
+# ---------------------------------------------------------------------------
 # streamed echelon form modulo a prime
 
 
@@ -529,7 +583,8 @@ def _rref(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
 def _echelon(a: _Rows, p: int) -> _Echelon:
     """The echelon form of a mod p (p < 2^20), streaming its rows: a block,
     pivot columns first, is reduced against X in pieces of ``_EXACT_TERMS``
-    terms, echelonized and joined to X in place, until all columns pivot."""
+    terms, echelonized on one BLAS thread and joined to X in place, until all
+    columns pivot."""
     n = a.ncols
     held = -(-n * n // 4)  # r (n - r) <= n^2 / 4
     _budget(a, held + _BLOCK * n)
@@ -547,7 +602,8 @@ def _echelon(a: _Rows, p: int) -> _Echelon:
             rem -= blk[:, k0:min(k0 + _EXACT_TERMS, r)] @ x[k0:k0 + _EXACT_TERMS]
             _reduce(rem, fp)
         if rem.any():
-            new, y = _rref(rem, p)
+            with _one_blas_thread():
+                new, y = _rref(rem, p)
             x = _absorb(x, new, y, fp, buf)
             piv, free = np.concatenate([piv, free[new]]), np.delete(free, new)
             if not free.size:
@@ -657,7 +713,8 @@ def _cholesky_certifies(a: _Rows) -> bool:
             or m * a.max_abs ** 2 >= 1 << 53
             or (np.bincount(a.rows, minlength=m) ** 2).sum() > m * n):
         return False
-    return _positive_definite(_gram(a))
+    with _one_blas_thread():
+        return _positive_definite(_gram(a))
 
 
 # ---------------------------------------------------------------------------

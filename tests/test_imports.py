@@ -1,6 +1,8 @@
-"""Every module-level import of the library is used in its module, and
-importing the command line does no more work than it did, and importing the
-package sets OpenBLAS's idle-thread default only where that can take effect.
+"""Every module-level import of the library is used in its module.
+Importing the command line does no more work than it did, and leaves the
+lookup of OpenBLAS's thread controls to the first rank that uses them.
+Importing the package sets OpenBLAS's idle-thread default only where that can
+take effect.
 
 No linter runs on this tree, so a deletion that leaves an import behind is
 caught here instead.  ``__init__.py`` is exempt: its imports are the public
@@ -90,3 +92,23 @@ def test_openblas_thread_timeout_default(imports, extra, expected):
     out = subprocess.run([sys.executable, "-c", code], env=_child_env(**extra),
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == expected
+
+
+# Prints how often the lookup of OpenBLAS's thread controls has run: after
+# the CLI is imported, and after one hold.
+_WATCH_BLAS_LOOKUP = """
+import wlpgraph.cli
+from wlpgraph import ranks
+print(ranks._blas_threads.cache_info().misses)
+with ranks._one_blas_thread():
+    pass
+print(ranks._blas_threads.cache_info().misses)
+"""
+
+
+def test_cli_import_leaves_the_blas_lookup_for_first_use():
+    # the engine looks up the thread controls when it first holds BLAS at
+    # one thread, so a command that never does pays nothing for them
+    out = subprocess.run([sys.executable, "-c", _WATCH_BLAS_LOOKUP], env=_child_env(),
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["0", "1"]

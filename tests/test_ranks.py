@@ -858,6 +858,107 @@ class TestCholeskyCertificate:
         assert len(gram) == 2
 
 
+class _FakeBlasThreads:
+    """Get and set thread-count controls over one count, in place of
+    OpenBLAS's, logging the count each watched function reads on entry."""
+
+    def __init__(self, monkeypatch, count=3):
+        self.count, self.seen = count, []
+        monkeypatch.setattr(ranks, "_blas_threads", lambda: (self.get, self.set))
+
+    def get(self):
+        return self.count
+
+    def set(self, count):
+        self.count = count
+
+    def watch(self, monkeypatch, name):
+        original = getattr(ranks, name)
+
+        def wrapper(*args):
+            self.seen.append((name, self.count))
+            return original(*args)
+
+        monkeypatch.setattr(ranks, name, wrapper)
+
+
+class TestBlasHold:
+    def test_bounded_products_run_on_one_thread(self, rng, monkeypatch):
+        # a deficient dense core goes to the echelon form, a sparse tall one
+        # of full rank to the Cholesky stage; each leaf echelon and each
+        # factorization reads a count of 1, and the caller's count is back
+        # once the rank returns
+        blas = _FakeBlasThreads(monkeypatch)
+        blas.watch(monkeypatch, "_rref")
+        blas.watch(monkeypatch, "_positive_definite")
+        rng2 = np.random.default_rng(13)
+        deficient = rng2.integers(-2, 3, size=(600, 40)) @ rng2.integers(-2, 3, size=(40, 90))
+        info = exact_rank_info(deficient.tolist())
+        assert info.method == "peel+modular+nullcert" and info.rank == 40
+        assert blas.count == 3
+        assert set(blas.seen) == {("_rref", 1)}
+        assert len(blas.seen) > 3  # one per row block, and the recursion's halves
+        blas.seen.clear()
+        info = exact_rank_info(_sparse_tall(rng, 160, 120))
+        assert info.method == "peel+modular-full" and info.rank == 120
+        assert blas.seen == [("_positive_definite", 1)] and blas.count == 3
+
+    def test_count_restored_after_an_error(self, monkeypatch):
+        blas = _FakeBlasThreads(monkeypatch)
+
+        def broken(a, p):
+            assert blas.count == 1
+            raise ZeroDivisionError("leaf")
+
+        monkeypatch.setattr(ranks, "_rref", broken)
+        monkeypatch.setattr(ranks, "_cholesky_certifies", lambda a: False)
+        m = np.random.default_rng(14).integers(-2, 3, size=(90, 80)).tolist()
+        with pytest.raises(ZeroDivisionError, match="leaf"):
+            exact_rank_info(m)
+        assert blas.count == 3
+
+    def test_controls_change_no_result(self, rng, monkeypatch):
+        # the same RankInfo, with the count held or with no controls at all,
+        # on cores that reach the echelon form and the Cholesky stage
+        rng2 = np.random.default_rng(15)
+        matrices = [_sparse_tall(rng, 150, 130), _sparse_tall(rng, 300, 200, per_row=3),
+                    rng2.integers(-2, 3, size=(300, 120)).tolist(),
+                    (rng2.integers(-2, 3, size=(280, 60))
+                     @ rng2.integers(-2, 3, size=(60, 100))).tolist()]
+        held = [exact_rank_info(m) for m in matrices]
+        monkeypatch.setattr(ranks, "_blas_threads", lambda: None)
+        stage = _spy(monkeypatch, "_cholesky_certifies")
+        echelons = _spy(monkeypatch, "_echelon")
+        assert [exact_rank_info(m) for m in matrices] == held
+        assert any(out for _, _, out in stage) and echelons
+        assert {info.method for info in held} == {"peel+modular-full", "peel+modular+nullcert"}
+
+    def test_real_controls_restore_the_count(self):
+        # without controls (numpy on MKL or a system BLAS) the hold does nothing
+        controls = ranks._blas_threads()
+        get = controls[0] if controls else lambda: None
+        before = get()
+        with ranks._one_blas_thread():
+            assert get() == (1 if controls else None)
+        assert get() == before
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["cholesky", "echelon"])
+    def test_cores_over_the_cap_leave_bareiss(self, rng, dense):
+        # a full-rank core between the cap and 10^6 operations, the cap
+        # before it was lowered, is certified without Bareiss
+        if dense:
+            sp = SparseCols.from_dense(
+                np.random.default_rng(16).integers(1, 4, size=(80, 70)).tolist())
+        else:
+            sp = _sparse_tall(rng, 90, 70)
+        core, _ = _peel(sp)
+        ops = core.nrows * core.ncols * min(core.nrows, core.ncols)
+        assert ranks.BAREISS_OPS_CAP < ops <= 1_000_000
+        info = exact_rank_info(sp)
+        assert info.certified and info.method == "peel+modular-full"
+        assert info.rank == rank_bareiss(sp) == 70
+
+
 class TestRankProperties:
     def test_transpose_invariance(self, rng):
         for trial in range(25):
