@@ -86,6 +86,7 @@ stops at the first prime that reaches full rank.
 
 from __future__ import annotations
 
+import ctypes
 import random
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -102,9 +103,9 @@ _LEAF = 16
 _EXACT_TERMS = 1 << 14
 # Columns per panel of the verified Cholesky factorization, and the least
 # nonzero magnitude of its factor (below it, the certificate is refused).
-# Under 128 columns OpenBLAS factors a block on one thread; on 2 vCPUs, 7 of
-# 400 threaded factorizations of 128 columns waited about 128 ms for the
-# second thread.
+# The stage runs on one BLAS thread; there, on 2 vCPUs, panels of 64 factored
+# n = 480 and 963 in 3.2 and 16 ms, against 3.8-4.4 and 20-22 ms with
+# panels of 128 or 256.
 _PANEL = 64
 _TINY = 2.0 ** -400
 
@@ -398,8 +399,6 @@ def _blas_threads():
     """The get and set thread-count functions of numpy's bundled OpenBLAS,
     found through ctypes on first use; None where they are not found (numpy
     built on MKL or on a system BLAS)."""
-    import ctypes
-
     try:
         from numpy._core import _multiarray_umath as blas_user
     except ImportError:  # numpy < 2
@@ -410,7 +409,8 @@ def _blas_threads():
             get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
             set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
             if get is not None and set_ is not None:
-                set_.restype = None
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
                 return get, set_
     return None
 
