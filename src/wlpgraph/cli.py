@@ -3,13 +3,15 @@
 Subcommands: indpoly, hilbert, wlp, blockcheck, classify, verify-paper.
 Exit codes: 0 for success (and WLP holds / checks pass), 1 for a negative
 mathematical outcome (no WLP, a disagreement, a failed check), 2 for usage
-or input errors.  All JSON goes to stdout; diagnostics go to stderr.
+or input errors, 141 (128 + SIGPIPE, with nothing on stderr) when the reader
+closes stdout early.  All JSON goes to stdout; diagnostics go to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 
@@ -281,7 +283,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader closed stdout (| head): point it at devnull, so that the
+        # interpreter's last flush cannot raise, and exit as SIGPIPE would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, OSError, UncertifiedRankError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -80,14 +80,13 @@ for n columns, and ``_BLOCK * n`` of the row block, not the certificate's
 arrays or the algebra; one over ``DENSE_ELEMS_CAP`` raises
 :class:`UncertifiedRankError` instead.  The separate :func:`rank_modular`
 route, an independent cross-check of the Bareiss route, row-reduces one
-dense int64 image modulo random primes above 2^30, drawn once per seed, and
-stops at the first prime that reaches full rank.
+dense int64 image modulo the three fixed primes ``CROSSCHECK_PRIMES``, the
+largest below 2^31, and stops at the first prime that reaches full rank.
 """
 
 from __future__ import annotations
 
 import ctypes
-import random
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -115,7 +114,7 @@ BAREISS_OPS_CAP = 200_000  # rows*cols*min budget for Bareiss (so min dim <= 58)
 DENSE_ELEMS_CAP = 70_000_000  # one elimination only: X + a row block (~560 MB as float64)
 CRT_MAX_PRIMES = 805  # fallback primes of the null-vector certificate (~2^16000)
 
-CROSSCHECK_CAP = 110       # registry mode: run Bareiss + >2^30 modular up to this min-dim
+CROSSCHECK_CAP = 110       # registry mode: run Bareiss + fixed-prime modular up to this min-dim
 
 
 class RankComputationError(RuntimeError):
@@ -155,6 +154,18 @@ class SparseCols:
 
     @classmethod
     def from_dense(cls, rows) -> "SparseCols":
+        """The matrix with the given rows, iterables of integral entries, or
+        of a 2-D array; anything else, or rows of unequal length, raises
+        ValueError."""
+        try:
+            rows = list(rows.tolist() if isinstance(rows, np.ndarray) else rows)
+        except TypeError:
+            raise ValueError(f"matrix is not 2-D: {rows!r}") from None
+        for i, row in enumerate(rows):
+            try:
+                rows[i] = list(row)
+            except TypeError:
+                raise ValueError(f"matrix is not 2-D: row {i} is {row!r}") from None
         nrows = len(rows)
         ncols = len(rows[0]) if nrows else 0
         cols: list[list[tuple[int, int]]] = [[] for _ in range(ncols)]
@@ -219,9 +230,7 @@ class SparseCols:
 def _coerce(matrix) -> SparseCols:
     if isinstance(matrix, SparseCols):
         return matrix
-    if isinstance(matrix, np.ndarray):
-        return SparseCols.from_dense(matrix.tolist())
-    return SparseCols.from_dense([list(row) for row in matrix])
+    return SparseCols.from_dense(matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -287,51 +296,23 @@ def rank_bareiss(matrix) -> int:
 # primes
 
 
-def _is_probable_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    # deterministic for n < 3.3 * 10^24 with these bases
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+def _is_prime(n: int) -> bool:
+    """Trial division, by 2 and the odd numbers up to sqrt(n): the primes the
+    package makes lie below 2^20."""
+    return n == 2 or (n > 2 and n % 2 == 1 and all(n % d for d in range(3, isqrt(n) + 1, 2)))
 
 
 def _primes_down(n: int):
     """The primes below n, descending, made as they are asked for."""
-    return (k for k in range(n - 1 - n % 2, 2, -2) if _is_probable_prime(k))
+    return (k for k in range(n - 1 - n % 2, 2, -2) if _is_prime(k))
 
 
 # The one prime of the engine's elimination, the largest below 2^20; the
 # certificate's fallback primes lie below it.
 ENGINE_PRIME = next(_primes_down(1 << 20))
-
-
-def random_primes(lo: int, hi: int, count: int, rng: random.Random) -> list[int]:
-    """Distinct probable primes sampled uniformly-ish from (lo, hi)."""
-    out: set[int] = set()
-    while len(out) < count:
-        n = rng.randrange(lo + 1, hi) | 1
-        while n < hi and not _is_probable_prime(n):
-            n += 2
-        if n < hi:
-            out.add(n)
-    return sorted(out)
+# The primes of the cross-check :func:`rank_modular`, the three largest below
+# 2^31, fixed so that no result depends on a prime drawn at random.
+CROSSCHECK_PRIMES = (2_147_483_647, 2_147_483_629, 2_147_483_587)
 
 
 # ---------------------------------------------------------------------------
@@ -613,27 +594,22 @@ def _echelon(a: _Rows, p: int) -> _Echelon:
     return _Echelon(p, piv, free, x.copy() if 2 * x.size <= held else x)
 
 
-@lru_cache(maxsize=1024)
-def _crosscheck_primes(seed: int, count: int) -> tuple[int, ...]:
-    """The primes of :func:`rank_modular`, drawn once per (seed, count)."""
-    return tuple(random_primes(1 << 30, 1 << 31, count, random.Random(seed)))
+def rank_modular(matrix) -> int:
+    """Max of the ranks modulo ``CROSSCHECK_PRIMES``, the three largest primes
+    below 2^31.
 
-
-def rank_modular(matrix, prime_count: int = 3, seed: int = 0) -> int:
-    """Max of ranks modulo ``prime_count`` random primes in (2^30, 2^31).
-
-    Always a lower bound for the rational rank; equality holds unless every
-    sampled prime divides the pivotal minor.  Serves as the independent
-    cross-check of the Bareiss route.  The primes are drawn once per (seed,
-    count), and one dense integer image is reduced modulo each in turn until
-    one reaches full rank, min(rows, cols), which no other prime can exceed.
+    Always a lower bound for the rational rank; equality holds unless each
+    of the three divides the pivotal minor.  Serves as the independent
+    cross-check of the Bareiss route.  One dense integer image is reduced
+    modulo each prime in order until one reaches full rank, min(rows, cols),
+    which no other prime can exceed.
     """
     sp = _coerce(matrix)
     if sp.nrows == 0 or sp.ncols == 0:
         return 0
     a = _dense(sp)
     best = 0
-    for p in _crosscheck_primes(seed, prime_count):
+    for p in CROSSCHECK_PRIMES:
         best = max(best, _rank_mod_p_int64(a, p))
         if best == min(sp.nrows, sp.ncols):
             break
@@ -893,7 +869,7 @@ _recorded_digests: set | None = None  # of the matrices recorded into _registry
 @contextmanager
 def recording(registry: list):
     """Route every rank computation into ``registry`` and cross-check the
-    Bareiss and >2^30 modular engines on small enough matrices."""
+    Bareiss and fixed-prime modular engines on small enough matrices."""
     global _registry, _recorded_digests
     prev = _registry, _recorded_digests
     _registry, _recorded_digests = registry, set()
@@ -950,7 +926,7 @@ def exact_rank_info(matrix) -> RankInfo:
     if _registry is not None:
         if min(sp.nrows, sp.ncols) and min(sp.nrows, sp.ncols) <= CROSSCHECK_CAP:
             rb = rank_bareiss(sp)
-            rm = rank_modular(sp, prime_count=3)
+            rm = rank_modular(sp)
             info.crosscheck = {"bareiss": rb, "modular": rm}
             if not (rb == rm == info.rank):
                 raise RankComputationError(

@@ -362,7 +362,7 @@ class TestExactRank:
         assert gm.shape == (140, 140)
         r = exact_rank(gm)
         assert r < 140
-        assert r == rank_bareiss(gm.matrix) == rank_modular(gm.matrix, seed=3)
+        assert r == rank_bareiss(gm.matrix) == rank_modular(gm.matrix)
 
     def test_accepts_graded_map(self):
         a = from_graph(path(3))

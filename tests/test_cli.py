@@ -23,6 +23,12 @@ def run_cli(capsys, argv):
     return code, out
 
 
+def _child_env() -> dict:
+    """The environment of a fresh interpreter that imports this checkout."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
 class TestIndpoly:
     def test_lollipop_4_9(self, capsys):
         code, out = run_cli(capsys, ["indpoly", "--lollipop", "4", "9"])
@@ -302,6 +308,19 @@ class TestErrors:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert "recursion limit" in captured.err
 
+    def test_closed_pipe_exits_141(self):
+        # a reader that stops early (| head) is not an input error: exit as
+        # SIGPIPE would, with nothing on stderr; the output, about 700 kB,
+        # overflows the pipe buffer, so the writer meets the closed pipe
+        argv = ["--output", "json", "blockcheck", "--seed", "2", "--random", "300"]
+        with subprocess.Popen([sys.executable, "-m", "wlpgraph.cli", *argv], env=_child_env(),
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert len(proc.stdout.read(100)) == 100
+            proc.stdout.close()
+            err = proc.stderr.read()
+        assert proc.returncode == 141
+        assert err == b""
+
 
 class TestJobs:
     def test_below_one_rejected(self, capsys):
@@ -332,8 +351,7 @@ class TestJobs:
         # C_16 lacks the WLP)
         cycle = tmp_path / "c16.txt"
         cycle.write_text("n 16\n" + "".join(f"{i} {(i + 1) % 16}\n" for i in range(16)))
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        env = _child_env()
         for argv in (["classify", "--m", "1..3", "--n", "1..15"], ["wlp", "--graph-file", str(cycle)]):
             outs = [subprocess.run([sys.executable, "-m", "wlpgraph.cli", "--output", "json", *argv],
                                    env={**env, "OPENBLAS_NUM_THREADS": threads},

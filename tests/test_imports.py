@@ -1,6 +1,7 @@
-"""Every module-level import of the library is used in its module.
-Importing the command line does no more work than it did, and leaves the
-lookup of OpenBLAS's thread controls to the first rank that uses them.
+"""Every module-level import of the library is used in its module, and only
+the modules that draw seeded inputs import ``random``.  Importing the
+command line does no more work than it did, and leaves the lookup of
+OpenBLAS's thread controls to the first rank that uses them.
 Importing the package sets OpenBLAS's idle-thread default only where that can
 take effect.
 
@@ -46,13 +47,32 @@ def test_module_imports_are_used(module):
     assert _unused_imports(module.read_text(encoding="utf-8")) == []
 
 
-# Records every prime that _is_probable_prime confirms while wlpgraph.cli is
+def _imported_modules(source: str) -> set[str]:
+    """The top-level names of the modules that ``source`` imports, anywhere."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_only_the_seeded_input_modules_import_random():
+    # no result may depend on a prime or a pivot drawn at random: verify and
+    # cli draw the seeded random inputs of the checks, and nothing else does
+    users = [p.stem for p in sorted(PACKAGE.glob("*.py"))
+             if "random" in _imported_modules(p.read_text(encoding="utf-8"))]
+    assert users == ["cli", "verify"]
+
+
+# Records every prime that _is_prime confirms while wlpgraph.cli is
 # imported, then prints them and the engine's prime.
 _WATCH_PRIMES = """
 import sys
 found = []
 def watch(frame, event, arg):
-    if event == "return" and frame.f_code.co_name == "_is_probable_prime" and arg:
+    if event == "return" and frame.f_code.co_name == "_is_prime" and arg:
         found.append(frame.f_locals["n"])
 sys.setprofile(watch)
 import wlpgraph.cli

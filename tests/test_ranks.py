@@ -24,7 +24,6 @@ from wlpgraph.ranks import (
     exact_rank_info,
     rank_bareiss,
     rank_modular,
-    random_primes,
     recording,
 )
 
@@ -110,6 +109,17 @@ class TestSparseCols:
             with pytest.raises(ValueError, match=rf"^entry {where} is not an integer: "):
                 route(rows)
 
+    @pytest.mark.parametrize("matrix, what", [
+        ([1, 2], "row 0 is 1"),
+        (np.array([1, 2]), "row 0 is 1"),
+        (5, "5"),
+        ([[1, 2], 3], "row 1 is 3"),
+    ])
+    def test_not_2d_rejected(self, matrix, what):
+        for route in (SparseCols.from_dense, ranks.exact_rank, rank_bareiss, rank_modular):
+            with pytest.raises(ValueError, match=rf"^matrix is not 2-D: {what}$"):
+                route(matrix)
+
     def test_integral_entries_accepted(self):
         assert ranks.exact_rank(np.eye(3)) == 3
         assert ranks.exact_rank([[True, False], [True, False]]) == 1
@@ -194,42 +204,40 @@ class TestModular:
     def test_agrees_with_bareiss(self, rng):
         for trial in range(60):
             m = random_matrix(rng, low_rank=trial % 3 == 0)
-            assert rank_modular(m, seed=trial) == rank_bareiss(m)
+            assert rank_modular(m) == rank_bareiss(m)
 
     def test_entries_beyond_int64(self):
         big = [[1 << 70, 3, 1], [1 << 71, 6, 2], [1, -(1 << 65), 1]]
         assert rank_modular(big) == rank_bareiss(big) == rank_by_fractions(big) == 2
 
-    def test_primes_drawn_once_per_seed(self, monkeypatch):
-        want = random_primes(1 << 30, 1 << 31, 4, random.Random(918273))
-        ranks._crosscheck_primes.cache_clear()
-        draws = _spy(monkeypatch, "random_primes")
+    def test_deficient_rank_runs_every_prime(self, monkeypatch):
         used = _spy(monkeypatch, "_rank_mod_p_int64")
         # rank-deficient (the last row is the sum of the first two), so no
-        # prime reaches full rank and every one of them runs
+        # prime reaches full rank and every one of them runs, in order
         rng = random.Random(5)
         m = [[rng.randint(-9, 9) for _ in range(10)] for _ in range(6)]
         m.append([a + b for a, b in zip(m[0], m[1])])
-        assert rank_bareiss(m) == 6
-        for _ in range(2):
-            assert rank_modular(m, 4, seed=918273) == rank_bareiss(m)
-        assert len(draws) == 1
-        assert [args[1] for args, _, _ in used] == want * 2
+        assert rank_modular(m) == rank_bareiss(m) == 6
+        assert tuple(args[1] for args, _, _ in used) == ranks.CROSSCHECK_PRIMES
 
     def test_stops_at_full_rank(self, monkeypatch):
         # the maximum over the primes is capped by min(rows, cols), so once a
         # prime reaches it the others cannot change the value
-        want = random_primes(1 << 30, 1 << 31, 3, random.Random(4))
-        ranks._crosscheck_primes.cache_clear()
         used = _spy(monkeypatch, "_rank_mod_p_int64")
         m = [[3, 1, 0, 2], [1, 0, 5, 0], [0, 2, 1, 1]]
-        assert rank_modular(m, 3, seed=4) == rank_bareiss(m) == 3
-        assert [args[1] for args, _, _ in used] == want[:1]
+        assert rank_modular(m) == rank_bareiss(m) == 3
+        assert [args[1] for args, _, _ in used] == [ranks.CROSSCHECK_PRIMES[0]]
 
     def test_primes_are_large(self):
-        primes = random_primes(1 << 30, 1 << 31, 5, random.Random(1))
-        assert len(set(primes)) == 5
-        assert all((1 << 30) < p < (1 << 31) for p in primes)
+        # the three largest primes below 2^31, as the trial division finds them
+        assert ranks.CROSSCHECK_PRIMES == tuple(islice(ranks._primes_down(1 << 31), 3))
+        assert all((1 << 30) < p < (1 << 31) for p in ranks.CROSSCHECK_PRIMES)
+
+    def test_trial_division(self):
+        small = [n for n in range(-3, 60) if ranks._is_prime(n)]
+        assert small == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+        # squares of primes and Carmichael numbers are composite
+        assert not any(map(ranks._is_prime, (1021 ** 2, 1031 * 1033, 561, 1105, 1 << 20)))
 
     def test_blocked_lu_matches_int64(self, rng):
         # the streamed echelon engine against the plain int64 row reduction
@@ -551,7 +559,7 @@ class TestExactRankInfo:
         m = rng2.integers(0, 2, size=(420, 260)).tolist()
         info = exact_rank_info(m)
         assert info.certified
-        assert info.rank == rank_modular(m, seed=9)
+        assert info.rank == rank_modular(m)
 
     def test_large_deficient_certified(self, monkeypatch):
         rng2 = np.random.default_rng(6)
