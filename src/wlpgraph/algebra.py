@@ -332,23 +332,19 @@ def multiplication_map(a: MonomialAlgebra, ell: LinearForm, i: int, t: int = 1) 
 def _single_step_matrix(a: MonomialAlgebra, ell: LinearForm, i: int) -> ranks.SparseCols:
     if a.graph is not None:
         return _graph_step_matrix(a, ell, i)
-    src = a.basis(i)
+    # x_1 > x_2 > ... in the lexicographic basis order: the images of a
+    # monomial under x_1, x_2, ... come in ascending rows
     tgt_index = a.basis_index(i + 1) if i + 1 <= a.socle_degree else {}
-    nrows = a.dim(i + 1)
-    cols = []
-    coeffs = ell.coefficients
-    for m in src:
-        col = []
-        for j, c in enumerate(coeffs):
-            if c == 0:
-                continue
-            cand = m[:j] + (m[j] + 1,) + m[j + 1:]
-            row = tgt_index.get(cand)
+    terms = [(j, c) for j, c in enumerate(ell.coefficients) if c]
+    out = ranks.SparseCols(a.dim(i + 1), a.dim(i), [], [], [])
+    for col, m in enumerate(a.basis(i)):
+        for j, c in terms:
+            row = tgt_index.get(m[:j] + (m[j] + 1,) + m[j + 1:])
             if row is not None:
-                col.append((row, c))
-        col.sort()
-        cols.append(col)
-    return ranks.SparseCols(nrows, len(src), cols)
+                out.rows.append(row)
+                out.cols.append(col)
+                out.vals.append(c)
+    return out
 
 
 def _graph_step_matrix(a: MonomialAlgebra, ell: LinearForm, i: int) -> ranks.SparseCols:
@@ -357,17 +353,17 @@ def _graph_step_matrix(a: MonomialAlgebra, ell: LinearForm, i: int) -> ranks.Spa
     top = a.socle_degree
     src = a.masks[i] if 0 <= i <= top else ()
     tgt_index = {m: r for r, m in enumerate(a.masks[i + 1])} if 0 <= i + 1 <= top else {}
+    # the masks run in that basis order, so these images come in ascending rows too
     terms = [(1 << j, c) for j, c in enumerate(ell.coefficients) if c]
-    cols = []
-    for s in src:
-        col = []
+    out = ranks.SparseCols(a.dim(i + 1), len(src), [], [], [])
+    for col, s in enumerate(src):
         for bit, c in terms:
             row = tgt_index.get(s | bit) if not s & bit else None
             if row is not None:
-                col.append((row, c))
-        col.sort()
-        cols.append(col)
-    return ranks.SparseCols(a.dim(i + 1), len(src), cols)
+                out.rows.append(row)
+                out.cols.append(col)
+                out.vals.append(c)
+    return out
 
 
 def exact_rank(matrix) -> int:

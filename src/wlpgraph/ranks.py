@@ -1,5 +1,11 @@
 """Exact rank of integer matrices over the rationals.
 
+A matrix is a :class:`SparseCols`, its nonzeros as three flat lists in column
+order, as the functions of the package that make maps append them (the
+triplet form of Davis, *Direct Methods for Sparse Linear Systems*, SIAM 2006,
+ch. 2); the stages after the peel read the core's row-ordered twin
+:class:`_Rows`.
+
 Small matrices, of rows * cols * min(rows, cols) <= ``BAREISS_OPS_CAP`` =
 200 000 (so min dim <= 58), go through fraction-free Bareiss elimination over
 arbitrary-precision integers -- unconditional -- in their wide orientation,
@@ -58,8 +64,9 @@ the rational rank (a nonzero minor mod p is nonzero over Z), which settles
 full rank on its own; and for a deficient core the kernel basis mod p
 [-X; I], whose vectors, rationally reconstructed and checked exactly, cap
 the rank (:func:`exact_right_null_vectors`, with a CRT fallback over the
-primes below p).  The core's nonzeros are sorted by row once
-(:class:`_Rows`), and every stage, prime and check reads them from there.
+primes below p).  The core's nonzeros are sorted by row once, in its tall
+orientation (:class:`_Rows`), and every stage, prime and check reads them
+from there.
 
 The elimination runs over float64, so its products are BLAS matrix
 products.  Residues are kept centred, |x| <= h = p//2 + 2 < 2^19 + 2
@@ -90,6 +97,7 @@ import ctypes
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import accumulate
 from math import gcd, isqrt, ldexp
 from typing import NamedTuple
 
@@ -127,7 +135,7 @@ class UncertifiedRankError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# sparse column-major representation
+# sparse representation: the nonzeros as flat lists, in column order
 
 
 def integral(v, where: str) -> int:
@@ -143,20 +151,22 @@ def integral(v, where: str) -> int:
 
 
 class SparseCols:
-    """Integer matrix stored as per-column sorted lists of (row, value)."""
+    """Integer matrix held as its nonzeros, in three flat lists: entry k is
+    ``vals[k]`` at row ``rows[k]`` and column ``cols[k]``.  They run in
+    column order: columns non-decreasing, rows ascending within a column, no
+    zero value and no repeated position, so equal matrices hold equal lists.
+    :class:`_Rows` holds the same triples in row order, as arrays."""
 
-    __slots__ = ("nrows", "ncols", "cols")
+    __slots__ = ("nrows", "ncols", "rows", "cols", "vals")
 
-    def __init__(self, nrows: int, ncols: int, cols: list[list[tuple[int, int]]]):
-        self.nrows = nrows
-        self.ncols = ncols
-        self.cols = cols
+    def __init__(self, nrows: int, ncols: int, rows: list[int], cols: list[int], vals: list[int]):
+        self.nrows, self.ncols, self.rows, self.cols, self.vals = nrows, ncols, rows, cols, vals
 
     @classmethod
     def from_dense(cls, rows) -> "SparseCols":
         """The matrix with the given rows, iterables of integral entries, or
-        of a 2-D array; anything else, or rows of unequal length, raises
-        ValueError."""
+        of a 2-D array; anything else, rows of unequal length among them,
+        raises ValueError."""
         try:
             rows = list(rows.tolist() if isinstance(rows, np.ndarray) else rows)
         except TypeError:
@@ -166,61 +176,58 @@ class SparseCols:
                 rows[i] = list(row)
             except TypeError:
                 raise ValueError(f"matrix is not 2-D: row {i} is {row!r}") from None
-        nrows = len(rows)
-        ncols = len(rows[0]) if nrows else 0
-        cols: list[list[tuple[int, int]]] = [[] for _ in range(ncols)]
-        for i, row in enumerate(rows):
-            if len(row) != ncols:
-                raise ValueError("ragged dense matrix")
-            for j, v in enumerate(row):
+            if len(rows[i]) != len(rows[0]):
+                raise ValueError(f"matrix is not 2-D: rows 0 and {i} differ in length")
+        out = cls(len(rows), len(rows[0]) if rows else 0, [], [], [])
+        for j, col in enumerate(zip(*rows)):
+            for i, v in enumerate(col):
                 if type(v) is not int:
+                    if isinstance(v, (list, tuple)):
+                        raise ValueError(f"matrix is not 2-D: entry ({i}, {j}) is {v!r}")
                     v = integral(v, f"entry ({i}, {j})")
                 if v:
-                    cols[j].append((i, v))
-        return cls(nrows, ncols, cols)
+                    out.rows.append(i)
+                    out.cols.append(j)
+                    out.vals.append(v)
+        return out
 
     def to_dense(self) -> list[list[int]]:
         out = [[0] * self.ncols for _ in range(self.nrows)]
-        for j, col in enumerate(self.cols):
-            for i, v in col:
-                out[i][j] = v
+        for i, j, v in zip(self.rows, self.cols, self.vals):
+            out[i][j] = v
         return out
 
     @property
     def nnz(self) -> int:
-        return sum(len(col) for col in self.cols)
+        return len(self.vals)
 
     def max_abs(self) -> int:
-        best = 0
-        for col in self.cols:
-            for _, v in col:
-                a = -v if v < 0 else v
-                if a > best:
-                    best = a
-        return best
-
-    def transpose(self) -> "SparseCols":
-        cols: list[list[tuple[int, int]]] = [[] for _ in range(self.nrows)]
-        for j, col in enumerate(self.cols):
-            for i, v in col:
-                cols[i].append((j, v))
-        return SparseCols(self.ncols, self.nrows, cols)
+        return max(map(abs, self.vals), default=0)
 
     def matmul(self, other: "SparseCols") -> "SparseCols":
         """Exact integer product self @ other."""
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
-        cols: list[list[tuple[int, int]]] = []
-        for bcol in other.cols:
-            acc: dict[int, int] = {}
-            for k, vb in bcol:
-                for i, va in self.cols[k]:
-                    acc[i] = acc.get(i, 0) + va * vb
-            cols.append(sorted((i, v) for i, v in acc.items() if v))
-        return SparseCols(self.nrows, other.ncols, cols)
+        # self's (row, value) pairs per column, which each entry of other reads
+        cols: list[list[tuple[int, int]]] = [[] for _ in range(self.ncols)]
+        for i, k, v in zip(self.rows, self.cols, self.vals):
+            cols[k].append((i, v))
+        acc: list[dict[int, int]] = [{} for _ in range(other.ncols)]
+        for k, j, vb in zip(other.rows, other.cols, other.vals):
+            col = acc[j]
+            for i, va in cols[k]:
+                col[i] = col.get(i, 0) + va * vb
+        out = SparseCols(self.nrows, other.ncols, [], [], [])
+        for j, col in enumerate(acc):
+            for i, v in sorted(col.items()):
+                if v:
+                    out.rows.append(i)
+                    out.cols.append(j)
+                    out.vals.append(v)
+        return out
 
     def to_json_dict(self, rank: int | None = None) -> dict:
-        triples = [[i, j, v] for j, col in enumerate(self.cols) for i, v in col]
+        triples = list(map(list, zip(self.rows, self.cols, self.vals)))
         out = {"shape": [self.nrows, self.ncols], "entries": triples}
         if rank is not None:
             out["rank"] = rank
@@ -250,14 +257,14 @@ def rank_bareiss(matrix) -> int:
     ``(stored * piv - f * pivot_row) // stamp[i]``, an exact division.
     """
     sp = _coerce(matrix)
-    if sp.nrows > sp.ncols:
-        sp = sp.transpose()
     m = sp.to_dense()
-    nrows = sp.nrows
+    if sp.nrows > sp.ncols:
+        m = [list(col) for col in zip(*m)]
+    nrows = len(m)
     stamp = [1] * nrows
     r = 0
     prev = 1
-    for c in range(sp.ncols):
+    for c in range(max(sp.nrows, sp.ncols)):
         if r == nrows:
             break
         piv_i = -1
@@ -331,13 +338,14 @@ def _peel(sp: SparseCols):
     whose counts all start at 2 or more is its own core, and comes back as is.
     """
     rows: list[list[int]] = [[] for _ in range(sp.nrows)]
-    for j, col in enumerate(sp.cols):
-        for i, _ in col:
-            rows[i].append(j)
+    cdeg = [0] * sp.ncols
+    for i, j in zip(sp.rows, sp.cols):
+        rows[i].append(j)
+        cdeg[j] += 1
     rdeg = [len(row) for row in rows]
-    cdeg = [len(col) for col in sp.cols]
     if min(rdeg, default=0) > 1 and min(cdeg, default=0) > 1:
         return sp, 0
+    starts = list(accumulate(cdeg, initial=0))  # column j's entries are starts[j]:starts[j + 1]
     todo_c = [j for j, d in enumerate(cdeg) if d == 1]
     todo_r = [i for i, d in enumerate(rdeg) if d == 1]
     base = 0
@@ -346,7 +354,7 @@ def _peel(sp: SparseCols):
             j = todo_c.pop()
             if cdeg[j] != 1:
                 continue
-            i = next(i for i, _ in sp.cols[j] if rdeg[i])
+            i = next(i for i in sp.rows[starts[j]:starts[j + 1]] if rdeg[i])
         else:
             i = todo_r.pop()
             if rdeg[i] != 1:
@@ -359,16 +367,20 @@ def _peel(sp: SparseCols):
                 cdeg[c] -= 1
                 if cdeg[c] == 1:
                     todo_c.append(c)
-        for r, _ in sp.cols[j]:
+        for r in sp.rows[starts[j]:starts[j + 1]]:
             if rdeg[r]:
                 rdeg[r] -= 1
                 if rdeg[r] == 1:
                     todo_r.append(r)
         base += 1
-    keep = [i for i, d in enumerate(rdeg) if d]  # if none, no column is left either
-    pos = dict(zip(keep, range(len(keep))))
-    cols = [[(pos[i], v) for i, v in col if rdeg[i]] for col, d in zip(sp.cols, cdeg) if d]
-    return SparseCols(len(keep), len(cols), cols), base
+    if base == min(sp.nrows, sp.ncols):  # no row or no column is left, so neither is
+        return SparseCols(0, 0, [], [], []), base
+    # the new positions of the rows and columns left, and the entries they share
+    rpos = {i: k for k, i in enumerate(i for i, d in enumerate(rdeg) if d)}
+    cpos = {j: k for k, j in enumerate(j for j, d in enumerate(cdeg) if d)}
+    live = [k for j in cpos for k in range(starts[j], starts[j + 1]) if rdeg[sp.rows[k]]]
+    return SparseCols(len(rpos), len(cpos), [rpos[sp.rows[k]] for k in live],
+                      [cpos[sp.cols[k]] for k in live], [sp.vals[k] for k in live]), base
 
 
 # ---------------------------------------------------------------------------
@@ -430,16 +442,15 @@ def _dense(sp: SparseCols) -> np.ndarray:
     """Dense integer image of sp: int64, or Python ints if some |entry| >= 2^63."""
     _budget(sp, sp.nrows * sp.ncols)
     a = np.zeros((sp.nrows, sp.ncols), dtype=np.int64 if sp.max_abs() < 1 << 63 else object)
-    rows = [i for col in sp.cols for i, _ in col]
-    cols = [j for j, col in enumerate(sp.cols) for _ in col]
-    a[rows, cols] = [v for col in sp.cols for _, v in col]
+    a[sp.rows, sp.cols] = sp.vals
     return a
 
 
 class _Rows(NamedTuple):
-    """The nonzeros of a matrix sorted by row, once for every stage that reads
-    it by rows: row, column (ascending within a row) and value, int64 or, if
-    some |entry| >= 2^63, Python ints in an object array."""
+    """The row-ordered twin of :class:`SparseCols`: its triples sorted by
+    row, once for every stage that reads a matrix by rows, as arrays of row,
+    column (ascending within a row) and value, int64 or, if some
+    |entry| >= 2^63, Python ints in an object array."""
 
     nrows: int
     ncols: int
@@ -450,13 +461,16 @@ class _Rows(NamedTuple):
 
 
 def _by_rows(sp: SparseCols) -> _Rows:
-    rows = np.array([i for col in sp.cols for i, _ in col], dtype=np.int64)
-    order = np.argsort(rows, kind="stable")
-    cols = np.repeat(np.arange(sp.ncols), [len(col) for col in sp.cols])
+    """sp by rows in its tall orientation: a wide sp is transposed, its
+    columns becoming rows that are in order already."""
+    rows, cols = np.array(sp.rows, dtype=np.int64), np.array(sp.cols, dtype=np.int64)
+    shape = (sp.nrows, sp.ncols)
+    if sp.nrows < sp.ncols:
+        shape, rows, cols = shape[::-1], cols, rows
     big = sp.max_abs()
-    vals = np.array([v for col in sp.cols for _, v in col],
-                    dtype=np.int64 if big < 1 << 63 else object)
-    return _Rows(sp.nrows, sp.ncols, rows[order], cols[order], vals[order], big)
+    vals = np.array(sp.vals, dtype=np.int64 if big < 1 << 63 else object)
+    order = np.argsort(rows, kind="stable")
+    return _Rows(*shape, rows[order], cols[order], vals[order], big)
 
 
 def _row_blocks(a: _Rows, vals: np.ndarray):
@@ -891,13 +905,12 @@ def _digest(sp: SparseCols) -> bytes:
     # about 3.5 MB of resident memory that no other run needs
     import hashlib
 
-    # flat lists of ints, not one (row, value) tuple repr per nonzero, hashed
-    # one at a time so only one is held; the column lengths split the
-    # entries back into columns
-    cols = sp.cols
-    h = hashlib.sha256(repr((sp.nrows, sp.ncols, [len(col) for col in cols])).encode())
-    h.update(repr([i for col in cols for i, _ in col]).encode())
-    h.update(repr([v for col in cols for _, v in col]).encode())
+    # the shape, then the three lists of the layout: equal matrices hold equal
+    # lists of Python ints, whichever function made them; their reprs are
+    # hashed one at a time, so only one is held
+    h = hashlib.sha256(repr((sp.nrows, sp.ncols)).encode())
+    for part in (sp.rows, sp.cols, sp.vals):
+        h.update(repr(part).encode())
     return h.digest()
 
 
@@ -965,7 +978,7 @@ def _exact_rank_info_inner(sp: SparseCols) -> RankInfo:
         return RankInfo(base + rank_bareiss(core), True, "peel+bareiss", shape, nnz)
     # rank(sp) = base + rank(core) exactly, so certifying the core suffices;
     # in its tall orientation the kernel to certify is a right kernel
-    tall = _by_rows(core if core.nrows >= core.ncols else core.transpose())
+    tall = _by_rows(core)
     if _cholesky_certifies(tall):
         return RankInfo(base + mind, True, "peel+modular-full", shape, nnz)
     # the rank mod p bounds the rank from below; exact kernel vectors cap it

@@ -321,17 +321,13 @@ def symmetric_blocks(a, gens, i: int, t: int) -> list[ranks.SparseCols]:
 
 def _sparse_cols(nrows: int, ncols: int, cols, rows, vals) -> ranks.SparseCols:
     """Sum the entries at each (row, col), drop zeros and build the matrix."""
-    key = cols.astype(np.int64) * nrows + rows
-    order = np.argsort(key, kind="stable")
-    key, vals = key[order], vals[order]
-    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]]) if len(key) else order
-    sums = np.add.reduceat(vals, starts) if len(key) else vals
-    key = key[starts]
+    # the sorted keys col * nrows + row run in the column order of SparseCols
+    key, at = np.unique(cols.astype(np.int64) * nrows + rows, return_inverse=True)
+    sums = np.zeros(key.size, dtype=np.int64)
+    np.add.at(sums, at, vals)
     nz = sums != 0
-    key, sums = key[nz], sums[nz]
-    bounds = np.searchsorted(key // max(nrows, 1), np.arange(ncols + 1)).tolist()
-    # one int object per row, shared by the entries of that row
-    rows = list(map(list(range(nrows)).__getitem__, (key % max(nrows, 1)).tolist()))
-    vals = sums.tolist()
-    return ranks.SparseCols(nrows, ncols, [list(zip(rows[b0:b1], vals[b0:b1]))
-                                           for b0, b1 in zip(bounds, bounds[1:])])
+    # one int object per index, shared by the entries of its row or column:
+    # on the P_22 blocks from degree 5 this holds 6 MB of lists instead of 19
+    shared = list(range(max(nrows, ncols))).__getitem__
+    cols, rows = (list(map(shared, x.tolist())) for x in np.divmod(key[nz], max(nrows, 1)))
+    return ranks.SparseCols(nrows, ncols, rows, cols, sums[nz].tolist())

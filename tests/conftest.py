@@ -32,10 +32,11 @@ def rank_by_fractions(rows) -> int:
 
 def exact_product(sp, vec) -> list[int]:
     """sp @ vec over the integers, for a SparseCols sp and a list vec."""
+    if len(vec) != sp.ncols:
+        raise ValueError(f"{len(vec)} entries for {sp.ncols} columns")
     out = [0] * sp.nrows
-    for col, x in zip(sp.cols, vec, strict=True):
-        for i, v in col:
-            out[i] += v * x
+    for i, j, v in zip(sp.rows, sp.cols, sp.vals):
+        out[i] += v * vec[j]
     return out
 
 

@@ -228,7 +228,8 @@ class TestMultiplicationMap:
                 for t in (1, 2):
                     got = multiplication_map(a, ell, i, t).matrix
                     want = multiplication_map(twin, ell, i, t).matrix
-                    assert (got.nrows, got.ncols, got.cols) == (want.nrows, want.ncols, want.cols)
+                    assert ((got.nrows, got.ncols, got.rows, got.cols, got.vals)
+                            == (want.nrows, want.ncols, want.rows, want.cols, want.vals))
 
     def test_basis_canonicality(self):
         g = lollipop(3, 4)

@@ -142,6 +142,16 @@ class TestClassify:
         code, _ = run_cli(capsys, ["classify", "--m", "5..2", "--n", "1..3"])
         assert code == 2
 
+    def test_benchmark_json_frozen(self, capsys):
+        # sha256 of the JSON of the lollipop-grid benchmark workload, every
+        # cell of L(m, n) for m <= 8 and n <= 17
+        code, out = run_cli(capsys, ["--output", "json", "classify", "--m", "1..8",
+                                     "--n", "1..17"])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "c3c1f170ded159c5a1cda358b44f2aa4aa790f58f9492bdf5b7384432aa66bdb"
+        )
+
 
 class TestBlockcheck:
     def test_random_suite(self, capsys):

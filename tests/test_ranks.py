@@ -8,7 +8,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wlpgraph import ranks
+from wlpgraph import (
+    LinearForm,
+    MonomialAlgebra,
+    custom,
+    from_generators,
+    from_graph,
+    lollipop,
+    multiplication_map,
+    path,
+    ranks,
+    tensor_with_squarefree_block,
+)
 from wlpgraph.ranks import (
     ENGINE_PRIME,
     SparseCols,
@@ -26,6 +37,7 @@ from wlpgraph.ranks import (
     rank_modular,
     recording,
 )
+from wlpgraph.symmetry import involution_group, symmetric_blocks
 
 from conftest import exact_product, rank_by_fractions
 
@@ -62,12 +74,23 @@ def _spy(monkeypatch, name):
     return calls
 
 
+def _rows_as_is(sp):
+    """sp by rows in its own orientation, also where it is wide: ``_by_rows``
+    turns a wide matrix tall, and this turns it back."""
+    a = _by_rows(sp)
+    if sp.nrows >= sp.ncols:
+        return a
+    order = np.lexsort((a.rows, a.cols))
+    return a._replace(nrows=sp.nrows, ncols=sp.ncols, rows=a.cols[order], cols=a.rows[order],
+                      vals=a.vals[order])
+
+
 def _null_vectors_at(matrix, count, seed):
     """``exact_right_null_vectors`` on a fresh echelon form at the small prime
     drawn from ``seed``."""
     sp = ranks._coerce(matrix)
     p = SMALL_PRIMES[random.Random(seed).randrange(len(SMALL_PRIMES))]
-    a = _by_rows(sp)
+    a = _rows_as_is(sp)
     return exact_right_null_vectors(a, count, _echelon(a, p))
 
 
@@ -77,7 +100,7 @@ class TestSparseCols:
         sp = SparseCols.from_dense(m)
         assert sp.to_dense() == m
         assert sp.nnz == 2
-        assert sp.transpose().to_dense() == [[0, 3, 0], [2, 0, 0]]
+        assert (sp.rows, sp.cols, sp.vals) == ([1, 0], [0, 1], [3, 2])
 
     def test_matmul_matches_dense(self, rng):
         for _ in range(25):
@@ -114,6 +137,8 @@ class TestSparseCols:
         (np.array([1, 2]), "row 0 is 1"),
         (5, "5"),
         ([[1, 2], 3], "row 1 is 3"),
+        ([[1, 2], [3]], "rows 0 and 1 differ in length"),
+        (np.zeros((2, 2, 2), dtype=int), r"entry \(0, 0\) is \[0, 0\]"),
     ])
     def test_not_2d_rejected(self, matrix, what):
         for route in (SparseCols.from_dense, ranks.exact_rank, rank_bareiss, rank_modular):
@@ -124,8 +149,58 @@ class TestSparseCols:
         assert ranks.exact_rank(np.eye(3)) == 3
         assert ranks.exact_rank([[True, False], [True, False]]) == 1
         sp = SparseCols.from_dense([[np.int64(2), 0.0], [-1.0, np.int8(0)]])
-        assert sp.cols == [[(0, 2), (1, -1)], []]
-        assert all(type(v) is int for col in sp.cols for _, v in col)
+        assert (sp.rows, sp.cols, sp.vals) == ([0, 1], [0, 0], [2, -1])
+        assert all(type(v) is int for v in sp.vals)
+
+    def test_every_producer_keeps_the_layout(self, rng):
+        # columns non-decreasing, rows ascending within a column, no zero
+        # value, no repeated position, and Python ints, so that the digest
+        # of a matrix does not depend on the function that made it
+        made = []
+        for _ in range(40):
+            sp = SparseCols.from_dense(random_matrix(rng, max_dim=14))
+            right = [[rng.randint(-2, 2) for _ in range(5)] for _ in range(sp.ncols)]
+            made += [sp, _peel(sp)[0], sp.matmul(SparseCols.from_dense(right))]
+        assert any(core.nnz and base for core, base in map(_peel, made[::3]))
+        # _single_step_matrix and _graph_step_matrix, and their products for
+        # t = 2 and 3, on a generator algebra, tensor algebras, a graph
+        # algebra and its twin with explicit bases, under the all-ones form
+        # and another
+        gens = from_generators(3, [(3, 0, 0), (0, 3, 0), (0, 0, 2), (1, 1, 1)])
+        graph = from_graph(lollipop(3, 4))
+        twin = MonomialAlgebra(graph.num_vars, graph.generators, bases=graph.bases)
+        for a in (gens, graph, twin, tensor_with_squarefree_block(2, gens).realized,
+                  tensor_with_squarefree_block(1, from_graph(path(4))).realized):
+            n = a.num_vars
+            other = LinearForm(tuple(rng.choice((-2, 0, 1, 3)) or 1 for _ in range(n)))
+            for ell in (LinearForm.all_ones(n), other):
+                for i in range(a.socle_degree + 1):
+                    made += [multiplication_map(a, ell, i, t).matrix for t in (1, 2, 3)]
+        for g in (path(9), custom(8, [(k, (k + 1) % 8) for k in range(8)])):
+            a = from_graph(g)
+            for i in range(a.socle_degree + 1):
+                for t in (1, 2):
+                    made += symmetric_blocks(a, involution_group(g), i, t)
+        for sp in made:
+            positions = list(zip(sp.cols, sp.rows))
+            assert positions == sorted(set(positions)) and len(sp.vals) == len(positions)
+            assert 0 not in sp.vals
+            assert all(0 <= i < sp.nrows for i in sp.rows)
+            assert all(0 <= j < sp.ncols for j in sp.cols)
+            assert {type(x) for x in sp.rows + sp.cols + sp.vals} <= {int}
+        # one matrix made in several ways is one recorded matrix
+        a, ell = from_graph(path(7)), LinearForm.all_ones(7)
+        square = multiplication_map(a, ell, 1, 2).matrix
+        steps = multiplication_map(a, ell, 2).matrix.matmul(multiplication_map(a, ell, 1).matrix)
+        block = symmetric_blocks(a, involution_group(a.graph), 1, 2)[1]
+        assert square.nnz and block.nnz
+        registry = []
+        with recording(registry):
+            for m in (square, steps, SparseCols.from_dense(square.to_dense()), square.to_dense(),
+                      np.array(square.to_dense()), block, SparseCols.from_dense(block.to_dense())):
+                exact_rank_info(m)
+            assert len(registry) == 7
+            assert ranks.distinct_recorded_matrices(registry) == 2
 
 
 @st.composite
@@ -162,11 +237,11 @@ class TestBareiss:
     @pytest.mark.parametrize("shape", [(0, 0), (0, 4), (4, 0), (1, 5), (5, 1), (4, 6)])
     def test_degenerate_shapes(self, shape):
         nr, nc = shape
-        zero = SparseCols(nr, nc, [[] for _ in range(nc)])
+        zero = SparseCols(nr, nc, [], [], [])
         assert rank_bareiss(zero) == rank_modular(zero) == exact_rank_info(zero).rank == 0
         if nr == 1 or nc == 1:
-            line = SparseCols.from_dense([[0, 3, 0, -2, 0]])
-            one = line if nr == 1 else line.transpose()
+            line = [[0, 3, 0, -2, 0]]
+            one = SparseCols.from_dense(line if nr == 1 else [list(col) for col in zip(*line)])
             assert rank_bareiss(one) == rank_modular(one) == exact_rank_info(one).rank == 1
 
     def test_deferred_scaling(self):
@@ -331,7 +406,7 @@ class TestModularKernels:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(ranks, "_BLOCK", block)
                 mp.setattr(ranks, "_LEAF", leaf)
-                ech = _echelon(_by_rows(sp), p)
+                ech = _echelon(_rows_as_is(sp), p)
             _assert_rref(ech, a)
             assert sorted(ech.piv.tolist()) == _column_profile(m)
             order = np.argsort(ech.piv)
@@ -434,11 +509,9 @@ class TestPeel:
     def test_core_has_no_singleton(self, m):
         sp = SparseCols.from_dense(m)
         core, base = _peel(sp)
-        row_counts = [0] * core.nrows
-        for col in core.cols:
-            for i, _ in col:
-                row_counts[i] += 1
-        assert min(row_counts + [len(col) for col in core.cols], default=2) >= 2
+        counts = [core.rows.count(i) for i in range(core.nrows)]
+        counts += [core.cols.count(j) for j in range(core.ncols)]
+        assert min(counts, default=2) >= 2
         assert base + rank_bareiss(core) == rank_bareiss(m)
 
     def test_diagonal_fully_peels(self):
@@ -748,12 +821,13 @@ class TestExactRankInfo:
 def _sparse_tall(rng, nrows, ncols, per_row=4):
     """A tall 0/+-1 matrix with ``per_row`` nonzeros in each row, and one in
     column i of row i, so that nothing peels and the rank is usually full."""
-    cols = [[] for _ in range(ncols)]
+    entries = []
     for i in range(nrows):
         picked = set(rng.sample(range(ncols), per_row - 1)) | ({i} if i < ncols else set())
         for j in picked:
-            cols[j].append((i, rng.choice((-1, 1))))
-    return SparseCols(nrows, ncols, [sorted(col) for col in cols])
+            entries.append((j, i, rng.choice((-1, 1))))
+    cols, rows, vals = map(list, zip(*sorted(entries)))
+    return SparseCols(nrows, ncols, rows, cols, vals)
 
 
 @st.composite
@@ -795,9 +869,10 @@ class TestCholeskyCertificate:
         # across chunks; zero rows and entries near the 2^53 bound
         sp = _sparse_tall(rng, 90, 70)
         big = (1 << 23) - 1
-        sp.cols[5] = [(i, v * big) for i, v in sp.cols[5]]
-        sp.cols[6] = []
-        sp.nrows += 3
+        kept = [k for k, j in enumerate(sp.cols) if j != 6]
+        sp = SparseCols(sp.nrows + 3, sp.ncols, [sp.rows[k] for k in kept],
+                        [sp.cols[k] for k in kept],
+                        [sp.vals[k] * (big if sp.cols[k] == 5 else 1) for k in kept])
         monkeypatch.setattr(ranks, "_PANEL", 4)
         a = np.array(sp.to_dense(), dtype=np.int64)
         assert np.array_equal(ranks._gram(_by_rows(sp)), (a.T @ a).astype(np.float64))
@@ -844,13 +919,13 @@ class TestCholeskyCertificate:
         gram = _spy(monkeypatch, "_gram")
 
         for n in (1024, 1025):  # [I; I]: G = 2I
-            twice = SparseCols(2 * n, n, [[(j, 1), (n + j, 1)] for j in range(n)])
+            twice = SparseCols(2 * n, n, [i for j in range(n) for i in (j, n + j)],
+                               [j for j in range(n) for _ in (0, 1)], [1] * (2 * n))
             assert ranks._cholesky_certifies(_by_rows(twice)) == (n == 1024)
         assert len(gram) == 1
 
-        big = SparseCols(sp.nrows, sp.ncols, [list(col) for col in sp.cols])
-        i, v = big.cols[0][0]
-        big.cols[0][0] = (i, v << 25)
+        assert sp.cols[0] == 0  # the first entry of column 0 grows
+        big = SparseCols(sp.nrows, sp.ncols, sp.rows, sp.cols, [sp.vals[0] << 25] + sp.vals[1:])
         assert sp.nrows * (1 << 25) ** 2 >= 1 << 53
         assert not ranks._cholesky_certifies(_by_rows(big))
         dense = SparseCols.from_dense(np.random.default_rng(3).integers(1, 3, (130, 110)).tolist())
@@ -972,7 +1047,8 @@ class TestRankProperties:
         for trial in range(25):
             m = random_matrix(rng, max_dim=25, low_rank=trial % 2 == 0)
             sp = SparseCols.from_dense(m)
-            assert exact_rank_info(sp).rank == exact_rank_info(sp.transpose()).rank
+            transposed = SparseCols.from_dense([list(col) for col in zip(*m)])
+            assert exact_rank_info(sp).rank == exact_rank_info(transposed).rank
 
     def test_permutation_invariance(self, rng):
         for trial in range(15):
@@ -1034,7 +1110,8 @@ class TestRecording:
         # the same entry list split into other columns, or under another
         # shape, is another matrix; equal matrices, big entries too, count once
         def mat(nrows, cols):
-            return SparseCols(nrows, len(cols), [list(col) for col in cols])
+            triples = [(i, j, v) for j, col in enumerate(cols) for i, v in col]
+            return SparseCols(nrows, len(cols), *map(list, zip(*triples)))
 
         base = [[(0, 1), (1, 3)], [(2, 2)]]
         registry = []

@@ -158,7 +158,9 @@ def test_wrong_odd_block_raises_under_recording(monkeypatch, fresh_ell2_cache):
     # the forged odd block keeps its shape and only its first column
     def wrong(a, gens, j, t):
         even, odd = symmetric_blocks(a, gens, j, t)
-        return even, ranks.SparseCols(odd.nrows, odd.ncols, odd.cols[:1] + [[]] * (odd.ncols - 1))
+        first = odd.cols.count(0)
+        return even, ranks.SparseCols(odd.nrows, odd.ncols, odd.rows[:first], odd.cols[:first],
+                                      odd.vals[:first])
 
     a = from_graph(path(10))
     assert ranks.rank_bareiss(_path_blocks(10, 2)[1]) == 14

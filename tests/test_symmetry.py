@@ -153,8 +153,9 @@ def test_forged_block_raises_under_recording(monkeypatch):
     # degree keeps its shape and only its first column
     def forged(a, gens, i, t):
         *rest, last = symmetric_blocks(a, gens, i, t)
-        kept = last.cols[:1] + [[]] * (last.ncols - 1)
-        return [*rest, ranks.SparseCols(last.nrows, last.ncols, kept)]
+        first = last.cols.count(0)
+        kept = last.rows[:first], last.cols[:first], last.vals[:first]
+        return [*rest, ranks.SparseCols(last.nrows, last.ncols, *kept)]
 
     g = _relabelled_cycle(10, 2)
     with ranks.recording([]):
